@@ -22,6 +22,7 @@ from .ledger import (
     balance,
     consent_state,
     consented_ratings,
+    consenting_keys,
     credit_tokens,
     export_profile,
     import_profile,
@@ -83,6 +84,7 @@ __all__ = [
     "balance",
     "consent_state",
     "consented_ratings",
+    "consenting_keys",
     "credit_tokens",
     "engagement_round",
     "export_profile",

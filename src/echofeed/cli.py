@@ -104,8 +104,10 @@ def cmd_train(args) -> int:
         )
     if ledger_obj is not None:
         ts = _now_or(args.timestamp)
+        # credits never change consent, so one replay serves the whole loop
+        consenting = led.consenting_keys(ledger_obj)
         for idx in sorted(keystore):
-            if led.consent_state(ledger_obj, keystore[idx].public_key):
+            if keystore[idx].public_key in consenting:
                 led.credit_tokens(ledger_obj, keystore[idx], args.reward, ts)
         led.save_ledger(ledger_obj, args.ledger)
     print(f"final_objective={report.loss_history[-1]!r}")

@@ -341,6 +341,11 @@ def consent_state(ledger: Ledger, public_key: bytes) -> bool:
     return entry[0] if entry else False
 
 
+def consenting_keys(ledger: Ledger) -> frozenset[bytes]:
+    """Public keys whose latest consent block grants consent (one replay)."""
+    return frozenset(key for key, (consent, _) in _replay(ledger.blocks).items() if consent)
+
+
 def balance(ledger: Ledger, public_key: bytes) -> int:
     entry = _replay(ledger.blocks).get(bytes(public_key))
     return entry[1] if entry else 0
@@ -366,15 +371,12 @@ def consented_ratings(
     Dimensions are unchanged; rows of non-consenting users simply become
     empty. Every user appearing in the matrix must be in the registry.
     """
-    present = {obs.user for obs in matrix.observations}
-    missing = sorted(u for u in present if u not in registry)
+    present = sorted(set(matrix.users.tolist()))
+    missing = [u for u in present if u not in registry]
     if missing:
         raise UnregisteredUserError(f"users {missing} have no registered public key")
-    state = _replay(ledger.blocks)
-    consenting = frozenset(
-        u for u in present if state.get(bytes(registry[u]), (False, 0))[0]
-    )
-    return filter_users(matrix, consenting)
+    keys = consenting_keys(ledger)
+    return filter_users(matrix, [u for u in present if bytes(registry[u]) in keys])
 
 
 def export_profile(ledger: Ledger, public_key: bytes) -> PortableProfile:

@@ -104,9 +104,10 @@ def objective(model: FactorModel, matrix: RatingMatrix) -> float:
     value is reproducible run to run.
     """
     check_dimensions(model, matrix)
-    users, events, values = matrix.arrays
-    preds = np.einsum("ij,ij->i", model.user_factors[users], model.event_factors[events])
-    resid = values - preds
+    preds = np.einsum(
+        "ij,ij->i", model.user_factors[matrix.users], model.event_factors[matrix.events]
+    )
+    resid = matrix.values - preds
     return float(resid @ resid) + model.gamma * l2_penalty(model)
 
 

@@ -2,8 +2,9 @@
 
 A zero value means "never engaged", so zero-valued triplets are dropped at
 construction and every stored observation carries a strictly positive value.
-Matrices are immutable once built; all mutation-looking operations return a
-new matrix.
+The matrix is columnar: three parallel read-only numpy arrays (users,
+events, values) sorted by (user, event). Matrices are immutable once built;
+all mutation-looking operations return a new matrix.
 """
 
 from __future__ import annotations
@@ -11,8 +12,9 @@ from __future__ import annotations
 import math
 import random
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -28,6 +30,7 @@ from .errors import (
 )
 
 _HEADER_RE = re.compile(r"^#\s*users\s*=\s*(\d+)\s+events\s*=\s*(\d+)\s*$")
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -39,42 +42,137 @@ class Rating:
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RatingMatrix:
     """Immutable sparse matrix of observations, sorted by (user, event).
 
-    Build instances through :func:`from_triplets` or :func:`load_csv`; the
-    raw constructor skips validation and is reserved for internal callers
-    that already hold a sorted, deduplicated observation tuple.
+    `users` and `events` (int64) and `values` (float64) are parallel
+    read-only arrays holding one observation per position, with no
+    repeated (user, event) pair and no zero value. Build instances through
+    :func:`from_triplets` or :func:`load_csv`; the raw constructor skips
+    validation and is reserved for internal callers that already hold
+    sorted, deduplicated columns. Two matrices are equal when their
+    dimensions match and their columns match bit for bit.
     """
 
     n_users: int
     n_events: int
-    observations: tuple[Rating, ...]
+    users: np.ndarray = field(repr=False)
+    events: np.ndarray = field(repr=False)
+    values: np.ndarray = field(repr=False)
+
+    def __post_init__(self):
+        for column in (self.users, self.events, self.values):
+            column.flags.writeable = False
+
+    def __eq__(self, other):
+        if not isinstance(other, RatingMatrix):
+            return NotImplemented
+        return (
+            self.n_users == other.n_users
+            and self.n_events == other.n_events
+            and self.users.tobytes() == other.users.tobytes()
+            and self.events.tobytes() == other.events.tobytes()
+            and self.values.tobytes() == other.values.tobytes()
+        )
 
     @property
     def density(self) -> float:
         cells = self.n_users * self.n_events
-        return len(self.observations) / cells if cells else 0.0
+        return len(self) / cells if cells else 0.0
 
     def __len__(self) -> int:
-        return len(self.observations)
+        return len(self.values)
+
+    @cached_property
+    def observations(self) -> tuple[Rating, ...]:
+        """The observations as Rating records, in sorted order."""
+        return tuple(
+            map(Rating, self.users.tolist(), self.events.tolist(), self.values.tolist())
+        )
 
     @cached_property
     def events_by_user(self) -> dict[int, frozenset[int]]:
         """Observed event indices keyed by user (absent user: no events)."""
-        seen: dict[int, set[int]] = {}
-        for obs in self.observations:
-            seen.setdefault(obs.user, set()).add(obs.event)
-        return {u: frozenset(evs) for u, evs in seen.items()}
+        starts = np.flatnonzero(np.diff(self.users, prepend=-1))
+        bounds = starts.tolist() + [len(self)]
+        events = self.events.tolist()
+        return {
+            u: frozenset(events[a:b])
+            for u, a, b in zip(self.users[starts].tolist(), bounds, bounds[1:])
+        }
 
-    @cached_property
-    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(users, events, values) as parallel numpy arrays, sorted order."""
-        users = np.fromiter((o.user for o in self.observations), dtype=np.int64, count=len(self))
-        events = np.fromiter((o.event for o in self.observations), dtype=np.int64, count=len(self))
-        values = np.fromiter((o.value for o in self.observations), dtype=np.float64, count=len(self))
-        return users, events, values
+
+def _check_triplet(triplet, n_users, n_events) -> None:
+    """Convert and check one triplet in reporting order, raising on a bad one."""
+    user, event, value = triplet
+    user = int(user)
+    event = int(event)
+    if not 0 <= user < n_users:
+        raise IndexOutOfRangeError(f"user index {user} outside [0, {n_users})")
+    if not 0 <= event < n_events:
+        raise IndexOutOfRangeError(f"event index {event} outside [0, {n_events})")
+    value = float(value)
+    if not math.isfinite(value) or value < 0:
+        raise InvalidValueError(f"rating value must be finite and >= 0, got {value}")
+
+
+def _build(users, events, values, n_users, n_events) -> RatingMatrix:
+    """Matrix from parallel columns given in input order.
+
+    Errors are reported for the first offending triplet in input order,
+    exactly as a triplet-by-triplet scan would: a bad index or value, or a
+    (user, event) pair seen earlier with a different value.
+    """
+    bad = ~((users >= 0) & (users < n_users) & (events >= 0) & (events < n_events))
+    bad |= ~np.isfinite(values) | (values < 0)
+    first_bad = int(np.argmax(bad)) if bad.any() else len(bad)
+    # stable, so each run of one (user, event) pair stays in input order
+    order = np.lexsort((events[:first_bad], users[:first_bad]))
+    su, se, sv = users[order], events[order], values[order]
+    repeated = (su[1:] == su[:-1]) & (se[1:] == se[:-1])
+    clashes = np.flatnonzero(repeated & (sv[1:] != sv[:-1]))
+    if len(clashes):
+        j = clashes[np.argmin(order[clashes + 1])]
+        raise DuplicateEntryError(
+            f"duplicate entry for user {int(su[j])}, event {int(se[j])}: "
+            f"{float(sv[j])} vs {float(sv[j + 1])}"
+        )
+    if first_bad < len(bad):
+        # raises: the scalar checks mirror the mask
+        _check_triplet((users[first_bad], events[first_bad], values[first_bad]), n_users, n_events)
+    keep = np.concatenate(([True], ~repeated)) & (sv != 0.0)
+    return RatingMatrix(n_users, n_events, su[keep], se[keep], sv[keep])
+
+
+def _columns(triplets: Iterable, n_users, n_events):
+    """(users, events, values) arrays, converted triplet by triplet with
+    int() and float().
+
+    A triplet that does not convert, or whose index does not fit in int64,
+    is reported only after the triplets before it are checked, so the
+    first error in input order wins.
+    """
+    users: list[int] = []
+    events: list[int] = []
+    values: list[float] = []
+    for row in triplets:
+        try:
+            user, event, value = row
+            user, event, value = int(user), int(event), float(value)
+            if not (_INT64.min <= user <= _INT64.max and _INT64.min <= event <= _INT64.max):
+                raise IndexOutOfRangeError(f"index of triplet {row} does not fit in int64")
+        except (ValueError, TypeError, OverflowError, IndexOutOfRangeError):
+            _build(
+                np.array(users, np.int64), np.array(events, np.int64),
+                np.array(values, np.float64), n_users, n_events,
+            )
+            _check_triplet(row, n_users, n_events)
+            raise
+        users.append(user)
+        events.append(event)
+        values.append(value)
+    return np.array(users, np.int64), np.array(events, np.int64), np.array(values, np.float64)
 
 
 def from_triplets(
@@ -84,46 +182,22 @@ def from_triplets(
 
     Zero-valued triplets are dropped (unobserved). Exact duplicate triplets
     collapse to one observation; the same (user, event) with differing
-    values is an error. Input order does not matter.
+    values is an error. Input order does not matter, except that the first
+    offending triplet in input order is the one reported.
     """
     if n_users < 0 or n_events < 0:
         raise InvalidParameterError("matrix dimensions must be non-negative")
-    seen: dict[tuple[int, int], float] = {}
-    for user, event, value in triplets:
-        user = int(user)
-        event = int(event)
-        if not 0 <= user < n_users:
-            raise IndexOutOfRangeError(f"user index {user} outside [0, {n_users})")
-        if not 0 <= event < n_events:
-            raise IndexOutOfRangeError(f"event index {event} outside [0, {n_events})")
-        value = float(value)
-        if not math.isfinite(value) or value < 0:
-            raise InvalidValueError(f"rating value must be finite and >= 0, got {value}")
-        key = (user, event)
-        if key in seen and seen[key] != value:
-            raise DuplicateEntryError(
-                f"duplicate entry for user {user}, event {event}: {seen[key]} vs {value}"
-            )
-        seen[key] = value
-    obs = tuple(
-        Rating(u, e, v) for (u, e), v in sorted(seen.items()) if v != 0.0
-    )
-    return RatingMatrix(n_users=n_users, n_events=n_events, observations=obs)
+    return _build(*_columns(triplets, n_users, n_events), n_users, n_events)
 
 
-def load_csv(path: str | Path) -> RatingMatrix:
-    """Read a matrix from a `user,event,value` CSV file.
+def _parse_lines(lines: list[str]) -> tuple[tuple[int, int] | None, list]:
+    """Line-by-line parse: (header dimensions, triplets).
 
-    Lines starting with `#` are comments; a `# users=N events=M` line pins
-    the dimensions, which are otherwise inferred as max index + 1. A file
-    with neither data rows nor a dimension header is rejected as empty.
+    Raises ParseError naming the first bad line.
     """
-    path = Path(path)
     triplets: list[tuple[int, int, float]] = []
     header_dims: tuple[int, int] | None = None
-    max_user = -1
-    max_event = -1
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue
@@ -142,22 +216,84 @@ def load_csv(path: str | Path) -> RatingMatrix:
         except ValueError as exc:
             raise ParseError(str(exc), lineno) from exc
         triplets.append((user, event, value))
-        max_user = max(max_user, user)
-        max_event = max(max_event, event)
-    if not triplets and header_dims is None:
-        raise EmptyInputError(f"{path}: no observations and no dimension header")
+    return header_dims, triplets
+
+
+def _parse_bulk(lines: list[str]):
+    """Whole-file parse: (header dimensions, users, events, values).
+
+    Converts with int() and float() like the line parser. Raises ValueError
+    or OverflowError on any file the line parser rejects, or whose indices
+    do not fit in int64.
+    """
+    stripped = list(map(str.strip, lines))
+    data = [s for s in stripped if s and s[0] != "#"]
+    header_dims = None
+    for s in [s for s in stripped if s[:1] == "#"]:
+        m = _HEADER_RE.match(s)
+        if m:
+            header_dims = (int(m.group(1)), int(m.group(2)))
+    if set(map(str.count, data, repeat(","))) - {2}:
+        raise ValueError("a data line without exactly 3 fields")
+    fields = ",".join(data).split(",")
+    n = len(data)
+    users = np.fromiter(map(int, fields[0::3]), np.int64, n)
+    events = np.fromiter(map(int, fields[1::3]), np.int64, n)
+    values = np.fromiter(map(float, fields[2::3]), np.float64, n)
+    return header_dims, users, events, values
+
+
+def load_csv(path: str | Path) -> RatingMatrix:
+    """Read a matrix from a `user,event,value` CSV file.
+
+    Lines starting with `#` are comments; a `# users=N events=M` line pins
+    the dimensions, which are otherwise inferred as max index + 1. A file
+    with neither data rows nor a dimension header is rejected as empty.
+    """
+    path = Path(path)
+    raw = path.read_bytes()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"not valid UTF-8 ({exc.reason})", line) from exc
+    lines = text.splitlines()
+    try:
+        header_dims, users, events, values = _parse_bulk(lines)
+    except (ValueError, OverflowError):
+        # the line parser names the first bad line; a file it accepts holds
+        # an index beyond int64, which from_triplets reports
+        header_dims, triplets = _parse_lines(lines)
+        users = [t[0] for t in triplets]
+        events = [t[1] for t in triplets]
+        return from_triplets(triplets, *_dimensions(path, header_dims, users, events))
+    return _build(users, events, values, *_dimensions(path, header_dims, users, events))
+
+
+def _dimensions(path, header_dims, users, events) -> tuple[int, int]:
+    """The header's dimensions, else max index + 1 (at least 0)."""
     if header_dims is not None:
-        n_users, n_events = header_dims
-    else:
-        n_users, n_events = max_user + 1, max_event + 1
-    return from_triplets(triplets, n_users, n_events)
+        return header_dims
+    if not len(users):
+        raise EmptyInputError(f"{path}: no observations and no dimension header")
+    return max(int(np.max(users)), -1) + 1, max(int(np.max(events)), -1) + 1
 
 
 def write_csv(matrix: RatingMatrix, path: str | Path) -> None:
     """Write the matrix in the format load_csv reads, dimensions included."""
     lines = [f"# users={matrix.n_users} events={matrix.n_events}"]
-    lines.extend(f"{o.user},{o.event},{o.value!r}" for o in matrix.observations)
+    lines.extend(
+        f"{u},{e},{v!r}"
+        for u, e, v in zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist())
+    )
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+def _subset(matrix: RatingMatrix, mask: np.ndarray) -> RatingMatrix:
+    return RatingMatrix(
+        matrix.n_users, matrix.n_events,
+        matrix.users[mask], matrix.events[mask], matrix.values[mask],
+    )
 
 
 def split_holdout(
@@ -171,19 +307,13 @@ def split_holdout(
     """
     if not 0 <= fraction < 1:
         raise InvalidParameterError(f"holdout fraction must be in [0, 1), got {fraction}")
-    n = len(matrix.observations)
+    n = len(matrix)
     n_test = int(round(fraction * n))
-    rng = random.Random(seed)
-    test_idx = frozenset(rng.sample(range(n), n_test))
-    train_obs = tuple(o for i, o in enumerate(matrix.observations) if i not in test_idx)
-    test_obs = tuple(o for i, o in enumerate(matrix.observations) if i in test_idx)
-    train = RatingMatrix(matrix.n_users, matrix.n_events, train_obs)
-    test = RatingMatrix(matrix.n_users, matrix.n_events, test_obs)
-    return train, test
+    test = np.zeros(n, dtype=bool)
+    test[random.Random(seed).sample(range(n), n_test)] = True
+    return _subset(matrix, ~test), _subset(matrix, test)
 
 
 def filter_users(matrix: RatingMatrix, keep: Sequence[int] | frozenset[int]) -> RatingMatrix:
     """Matrix restricted to observations of the given users, same shape."""
-    keep = frozenset(keep)
-    obs = tuple(o for o in matrix.observations if o.user in keep)
-    return RatingMatrix(matrix.n_users, matrix.n_events, obs)
+    return _subset(matrix, np.isin(matrix.users, list(frozenset(keep))))

@@ -17,7 +17,7 @@ from .errors import (
     InvalidParameterError,
 )
 from .model import FactorModel, check_dimensions
-from .ratings import Rating, RatingMatrix
+from .ratings import RatingMatrix
 
 
 @dataclass(frozen=True)
@@ -104,11 +104,10 @@ def synth_community_matrix(
         rng.uniform(3.0, 5.0, size=same.shape),
         rng.uniform(1.0, 2.0, size=same.shape),
     )
-    obs = tuple(
-        Rating(int(u), int(i), float(values[u, i]))
-        for u, i in zip(*np.nonzero(observed))
+    users, events = np.nonzero(observed)
+    matrix = RatingMatrix(
+        n_users, n_events, users.astype(np.int64), events.astype(np.int64), values[observed]
     )
-    matrix = RatingMatrix(n_users=n_users, n_events=n_events, observations=obs)
     labels = CommunityLabels(
         labels=tuple(int(c) for c in user_labels),
         n_communities=n_communities,
@@ -141,24 +140,29 @@ def engagement_round(
     model: FactorModel,
     accept_top: int,
     accept_value: float,
-    seed: int | None = None,
 ) -> RatingMatrix:
     """Users engage with what they are shown: append each user's top
     accept_top unobserved recommendations as new observations.
 
     Existing observations are never altered. The acceptance rule is
-    deterministic; `seed` is accepted for interface stability and unused.
+    deterministic.
     """
     check_dimensions(model, matrix)
     if accept_top < 1:
         raise InvalidParameterError(f"accept_top must be >= 1, got {accept_top}")
     if accept_value <= 0:
         raise InvalidParameterError(f"accept_value must be > 0, got {accept_value}")
-    new_obs: list[Rating] = []
+    new_users: list[int] = []
+    new_events: list[int] = []
     for u in range(matrix.n_users):
         recs = top_k(model, matrix, u, accept_top, exclude_observed=True)
-        new_obs.extend(Rating(u, ev, float(accept_value)) for ev in recs.events)
-    merged = tuple(sorted(
-        matrix.observations + tuple(new_obs), key=lambda o: (o.user, o.event)
-    ))
-    return RatingMatrix(matrix.n_users, matrix.n_events, merged)
+        new_users.extend([u] * len(recs.events))
+        new_events.extend(recs.events)
+    # recommendations exclude observed cells, so no (user, event) repeats
+    users = np.concatenate((matrix.users, np.array(new_users, dtype=np.int64)))
+    events = np.concatenate((matrix.events, np.array(new_events, dtype=np.int64)))
+    values = np.concatenate((matrix.values, np.full(len(new_users), float(accept_value))))
+    order = np.lexsort((events, users))
+    return RatingMatrix(
+        matrix.n_users, matrix.n_events, users[order], events[order], values[order]
+    )

@@ -109,13 +109,12 @@ def gradient_at(model: FactorModel, matrix: RatingMatrix, u: int) -> np.ndarray:
     check_dimensions(model, matrix)
     if not 0 <= u < model.n_users:
         raise IndexOutOfRangeError(f"user index {u} outside [0, {model.n_users})")
-    users, events, values = matrix.arrays
-    mask = users == u
+    mask = matrix.users == u
     x = model.user_factors[u]
     grad = 2.0 * model.gamma * x
     if mask.any():
-        ys = model.event_factors[events[mask]]
-        errs = values[mask] - ys @ x
+        ys = model.event_factors[matrix.events[mask]]
+        errs = matrix.values[mask] - ys @ x
         grad = grad - 2.0 * (errs[:, None] * ys).sum(axis=0)
     return grad
 
@@ -130,16 +129,16 @@ def train(
     the full objective afterwards. The input model is not modified.
     """
     check_dimensions(model, matrix)
-    if not matrix.observations:
+    if not len(matrix):
         raise EmptyMatrixError("cannot train on a matrix with no observations")
     work = model.copy()
     uf = work.user_factors
     ef = work.event_factors
     lr = config.learning_rate
     gamma = work.gamma
-    obs_users = [o.user for o in matrix.observations]
-    obs_events = [o.event for o in matrix.observations]
-    obs_values = [o.value for o in matrix.observations]
+    obs_users = matrix.users.tolist()
+    obs_events = matrix.events.tolist()
+    obs_values = matrix.values.tolist()
     order = list(range(len(obs_users)))
     rng = random.Random(config.seed)
 
@@ -171,9 +170,10 @@ def train(
 def rmse(model: FactorModel, matrix: RatingMatrix) -> float:
     """Root mean squared prediction error over the observed cells."""
     check_dimensions(model, matrix)
-    if not matrix.observations:
+    if not len(matrix):
         raise EmptyMatrixError("rmse needs at least one observation")
-    users, events, values = matrix.arrays
-    preds = np.einsum("ij,ij->i", model.user_factors[users], model.event_factors[events])
-    resid = values - preds
-    return math.sqrt(float(resid @ resid) / len(values))
+    preds = np.einsum(
+        "ij,ij->i", model.user_factors[matrix.users], model.event_factors[matrix.events]
+    )
+    resid = matrix.values - preds
+    return math.sqrt(float(resid @ resid) / len(resid))

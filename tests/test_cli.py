@@ -61,6 +61,14 @@ def test_ingest_malformed_names_line(tmp_path, capsys):
     assert "line 2" in err
 
 
+def test_ingest_non_utf8_names_line(tmp_path, capsys):
+    bad = tmp_path / "bad.csv"
+    bad.write_bytes(b"0,0,1.0\r\n0,1,\xff\n")
+    code, _, err = run(capsys, "ingest", bad, "--out", tmp_path / "x.csv")
+    assert code == 1
+    assert "line 2" in err and "UTF-8" in err
+
+
 def test_ingest_empty_file(tmp_path, capsys):
     empty = tmp_path / "empty.csv"
     empty.write_text("")
