@@ -18,6 +18,7 @@ from .ledger import (
     PortableProfile,
     UserAccount,
     account_state,
+    append_blocks,
     append_event,
     balance,
     consent_state,
@@ -80,6 +81,7 @@ __all__ = [
     "TrainReport",
     "UserAccount",
     "account_state",
+    "append_blocks",
     "append_event",
     "balance",
     "consent_state",

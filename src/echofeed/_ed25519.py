@@ -47,31 +47,35 @@ def _load_sodium():
 _sodium = _load_sodium()
 
 
-def public_from_seed(seed: bytes) -> bytes:
-    """32-byte public key derived from a 32-byte signing seed."""
+def keypair(seed: bytes) -> tuple[bytes, object]:
+    """(public key, signing key) for a 32-byte seed, from one derivation.
+
+    The signing key is what sign() takes: libsodium's 64-byte expanded
+    secret key, or a cryptography Ed25519PrivateKey on the fallback.
+    """
     if len(seed) != SEED_SIZE:
         raise ValueError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
     if _sodium is not None:
         pk = ctypes.create_string_buffer(PUBLIC_KEY_SIZE)
         sk = ctypes.create_string_buffer(64)
         _sodium.crypto_sign_ed25519_seed_keypair(pk, sk, seed)
-        return pk.raw
-    return Ed25519PrivateKey.from_private_bytes(seed).public_key().public_bytes_raw()
+        return pk.raw, sk.raw
+    key = Ed25519PrivateKey.from_private_bytes(seed)
+    return key.public_key().public_bytes_raw(), key
 
 
-def sign(seed: bytes, message: bytes) -> bytes:
-    """64-byte detached signature over message."""
-    if len(seed) != SEED_SIZE:
-        raise ValueError(f"seed must be {SEED_SIZE} bytes, got {len(seed)}")
-    if _sodium is not None:
-        pk = ctypes.create_string_buffer(PUBLIC_KEY_SIZE)
-        sk = ctypes.create_string_buffer(64)
-        _sodium.crypto_sign_ed25519_seed_keypair(pk, sk, seed)
-        sig = ctypes.create_string_buffer(SIGNATURE_SIZE)
-        siglen = ctypes.c_ulonglong(0)
-        _sodium.crypto_sign_ed25519_detached(sig, ctypes.byref(siglen), message, len(message), sk)
-        return sig.raw
-    return Ed25519PrivateKey.from_private_bytes(seed).sign(message)
+def sign(signing_key, message: bytes) -> bytes:
+    """64-byte detached signature over message by a key from keypair()."""
+    if isinstance(signing_key, Ed25519PrivateKey):
+        return signing_key.sign(message)
+    if _sodium is None or len(signing_key) != 64:
+        raise ValueError("not a libsodium signing key")
+    sig = ctypes.create_string_buffer(SIGNATURE_SIZE)
+    siglen = ctypes.c_ulonglong(0)
+    _sodium.crypto_sign_ed25519_detached(
+        sig, ctypes.byref(siglen), message, len(message), signing_key
+    )
+    return sig.raw
 
 
 def verify(public_key: bytes, signature: bytes, message: bytes) -> bool:

@@ -17,7 +17,8 @@ import time
 from pathlib import Path
 
 from . import ledger as led
-from .errors import EchoFeedError, UnregisteredUserError
+from ._atomic import atomic_write
+from .errors import EchoFeedError, ParseError, SigningFailureError, UnregisteredUserError
 from .model import init_model, load_model, save_model
 from .ratings import load_csv, split_holdout, write_csv
 from .simulate import (
@@ -41,12 +42,18 @@ def _derive_seed(key_seed: int, index: int) -> bytes:
 
 def _write_keystore(path: Path, keypairs: dict[int, led.Keypair]) -> None:
     doc = {str(idx): kp.seed.hex() for idx, kp in sorted(keypairs.items())}
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _load_keystore(path: Path) -> dict[int, led.Keypair]:
-    doc = json.loads(path.read_text(encoding="utf-8"))
-    return {int(idx): led.Keypair(bytes.fromhex(seed)) for idx, seed in doc.items()}
+    try:
+        doc = json.loads(path.read_text(encoding="utf-8"))
+        if not isinstance(doc, dict):
+            raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
+        return {int(idx): led.Keypair(bytes.fromhex(seed)) for idx, seed in doc.items()}
+    except (TypeError, ValueError, RecursionError, SigningFailureError) as exc:
+        raise ParseError(f"{path}: not a valid keystore ({exc})") from exc
 
 
 def _keystore_entry(keystore: dict[int, led.Keypair], user: int) -> led.Keypair:
@@ -99,17 +106,17 @@ def cmd_train(args) -> int:
     trained, report = train(model, train_m, _train_config(args))
     save_model(trained, args.out)
     if args.report:
-        Path(args.report).write_text(
-            json.dumps(report.to_dict()) + "\n", encoding="utf-8"
-        )
+        with atomic_write(args.report) as fh:
+            fh.write(json.dumps(report.to_dict()) + "\n")
     if ledger_obj is not None:
         ts = _now_or(args.timestamp)
         # credits never change consent, so one replay serves the whole loop
         consenting = led.consenting_keys(ledger_obj)
+        start = len(ledger_obj)
         for idx in sorted(keystore):
             if keystore[idx].public_key in consenting:
                 led.credit_tokens(ledger_obj, keystore[idx], args.reward, ts)
-        led.save_ledger(ledger_obj, args.ledger)
+        led.append_blocks(ledger_obj.blocks[start:], args.ledger)
     print(f"final_objective={report.loss_history[-1]!r}")
     if len(test_m):
         print(f"rmse_holdout={rmse(trained, test_m)!r}")
@@ -215,14 +222,14 @@ def cmd_ledger(args, parser) -> int:
             block = led.append_event(
                 chain, kp, led.PayloadType.POST, args.payload.encode("utf-8"), ts
             )
-        led.save_ledger(chain, args.ledger)
+        led.append_blocks([block], args.ledger)
         print(f"appended block {block.index}")
         return 0
     if action == "consent":
         keystore = _load_keystore(Path(args.keys))
         kp = _keystore_entry(keystore, args.user)
         block = led.set_consent(chain, kp, args.grant, _now_or(args.timestamp))
-        led.save_ledger(chain, args.ledger)
+        led.append_blocks([block], args.ledger)
         print(f"appended block {block.index}")
         return 0
     if action == "balance":

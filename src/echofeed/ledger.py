@@ -35,6 +35,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import _ed25519
+from ._atomic import atomic_write
 from .errors import (
     InvalidPayloadError,
     ParseError,
@@ -72,15 +73,18 @@ BAD_SIGNATURE = "BadSignature"
 
 
 class Keypair:
-    """Signing identity for one account: a 32-byte Ed25519 seed."""
+    """Signing identity for one account: a 32-byte Ed25519 seed.
 
-    __slots__ = ("seed", "public_key")
+    The seed is expanded once, here; every signature reuses the result.
+    """
+
+    __slots__ = ("seed", "public_key", "_signing_key")
 
     def __init__(self, seed: bytes):
         if len(seed) != _ed25519.SEED_SIZE:
             raise SigningFailureError(f"signing seed must be {_ed25519.SEED_SIZE} bytes")
         self.seed = bytes(seed)
-        self.public_key = _ed25519.public_from_seed(self.seed)
+        self.public_key, self._signing_key = _ed25519.keypair(self.seed)
 
     @classmethod
     def generate(cls) -> "Keypair":
@@ -88,7 +92,7 @@ class Keypair:
 
     def sign(self, message: bytes) -> bytes:
         try:
-            return _ed25519.sign(self.seed, message)
+            return _ed25519.sign(self._signing_key, message)
         except Exception as exc:  # pragma: no cover - key material is pre-validated
             raise SigningFailureError(str(exc)) from exc
 
@@ -118,10 +122,16 @@ class LedgerBlock:
 
     @classmethod
     def from_json_dict(cls, doc: dict) -> "LedgerBlock":
+        """Inverse of to_json_dict; TypeError/KeyError/ValueError on a bad doc."""
+        if not isinstance(doc, dict):
+            raise TypeError(f"block must be a JSON object, got {type(doc).__name__}")
+        for key in ("index", "timestamp"):
+            if type(doc[key]) is not int:
+                raise TypeError(f"{key} must be an integer, got {doc[key]!r}")
         return cls(
-            index=int(doc["index"]),
+            index=doc["index"],
             prev_hash=bytes.fromhex(doc["prev_hash_hex"]),
-            timestamp=int(doc["timestamp"]),
+            timestamp=doc["timestamp"],
             author=bytes.fromhex(doc["author_hex"]),
             payload_type=int(_NAMES_TO_TYPE[doc["payload_type"]]),
             payload=base64.b64decode(doc["payload_b64"]),
@@ -437,21 +447,51 @@ def import_profile(profile: PortableProfile) -> UserAccount:
     )
 
 
+def _block_line(block: LedgerBlock) -> str:
+    return json.dumps(block.to_json_dict(), sort_keys=True) + "\n"
+
+
 def save_ledger(ledger: Ledger, path: str | Path) -> None:
-    """One block per line, JSON; integrity lives in the canonical bytes."""
-    lines = [json.dumps(b.to_json_dict(), sort_keys=True) for b in ledger.blocks]
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    """One block per line, JSON; integrity lives in the canonical bytes.
+
+    The file is replaced atomically: a failed write leaves the old one.
+    """
+    with atomic_write(path) as fh:
+        fh.writelines(_block_line(b) for b in ledger.blocks)
+
+
+def append_blocks(blocks: Iterable[LedgerBlock], path: str | Path) -> None:
+    """Add blocks to the end of a ledger file in one write.
+
+    Lines already in the file are never rewritten, so appending to a file
+    save_ledger wrote gives the bytes save_ledger would write for the
+    longer chain. A missing final newline is supplied first.
+    """
+    data = "".join(_block_line(b) for b in blocks).encode("utf-8")
+    if not data:
+        return
+    with open(path, "a+b") as fh:
+        if fh.tell():
+            fh.seek(-1, os.SEEK_END)
+            if fh.read(1) != b"\n":
+                data = b"\n" + data
+        fh.write(data)
 
 
 def load_ledger(path: str | Path) -> Ledger:
     path = Path(path)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = exc.object.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"bad ledger block: not valid UTF-8 ({exc.reason})", lineno) from exc
     blocks = []
-    for lineno, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    for lineno, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
         try:
             blocks.append(LedgerBlock.from_json_dict(json.loads(line)))
-        except (KeyError, ValueError, json.JSONDecodeError) as exc:
+        except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"bad ledger block: {exc}", lineno) from exc
     return Ledger(blocks)
 

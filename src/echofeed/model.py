@@ -11,6 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import (
     DimensionMismatchError,
     IndexOutOfRangeError,
@@ -112,14 +113,15 @@ def objective(model: FactorModel, matrix: RatingMatrix) -> float:
 
 
 def save_model(model: FactorModel, path: str | Path) -> None:
-    """Serialize to JSON; float round-trip is exact."""
+    """Serialize to JSON, replacing the file atomically; float round-trip is exact."""
     doc = {
         "k": model.k,
         "gamma": model.gamma,
         "user_factors": model.user_factors.tolist(),
         "event_factors": model.event_factors.tolist(),
     }
-    Path(path).write_text(json.dumps(doc) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc) + "\n")
 
 
 def load_model(path: str | Path) -> FactorModel:

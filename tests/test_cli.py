@@ -298,3 +298,66 @@ def test_missing_file_is_domain_error(tmp_path, capsys):
     code, _, err = run(capsys, "eval", tmp_path / "nope.json", tmp_path / "nope.csv")
     assert code == 1
     assert "error" in err
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{bad",  # not JSON
+        '["00"]',  # not an object
+        '{"zero": "' + "00" * 32 + '"}',  # index not an integer
+        '{"0": "' + "zz" * 32 + '"}',  # seed not hex
+        '{"0": "abcd"}',  # seed of the wrong length
+    ],
+    ids=["invalid-json", "non-object", "non-integer-index", "non-hex-seed", "short-seed"],
+)
+def test_malformed_keystore_is_domain_error(tmp_path, capsys, consent_env, text):
+    ledger, _ = consent_env
+    keys = tmp_path / "bad-keys.json"
+    keys.write_text(text)
+    before = ledger.read_bytes()
+    code, _, err = run(
+        capsys, "ledger", "consent", ledger, "--keys", keys, "--user", 0, "--grant",
+    )
+    assert code == 1
+    assert "not a valid keystore" in err
+    assert ledger.read_bytes() == before
+
+
+# --- appends ---
+
+
+def test_append_after_missing_final_newline(tmp_path, capsys, consent_env):
+    ledger, keys = consent_env
+    unterminated = ledger.read_bytes().rstrip(b"\n")
+    ledger.write_bytes(unterminated)
+    code, out, _ = run(
+        capsys, "ledger", "append", ledger, "--keys", keys, "--user", 4,
+        "--payload", "after", "--timestamp", 300,
+    )
+    assert code == 0 and out.strip() == "appended block 11"
+    data = ledger.read_bytes()
+    assert data.startswith(unterminated + b"\n") and data.endswith(b"}\n")
+    chain = load_ledger(ledger)
+    assert len(chain) == 12 and verify_chain(chain).valid
+
+
+def test_consent_refuses_torn_last_line(tmp_path, capsys, consent_env):
+    ledger, keys = consent_env
+    torn = ledger.read_bytes()[:-40]
+    ledger.write_bytes(torn)
+    code, _, err = run(
+        capsys, "ledger", "consent", ledger, "--keys", keys, "--user", 1, "--revoke",
+        "--timestamp", 300,
+    )
+    assert code == 1
+    assert "line 11" in err
+    assert ledger.read_bytes() == torn
+
+
+def test_ledger_verify_non_object_line(tmp_path, capsys):
+    ledger = tmp_path / "chain.jsonl"
+    ledger.write_text("[1,2]\n")
+    code, _, err = run(capsys, "ledger", "verify", ledger)
+    assert code == 1
+    assert "line 1" in err

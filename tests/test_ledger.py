@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import random
 
 import pytest
@@ -125,10 +126,11 @@ def test_backends_agree():
     seed = bytes(range(32))
     msg = b"cross-check message"
     sk = Ed25519PrivateKey.from_private_bytes(seed)
-    assert _ed25519.public_from_seed(seed) == sk.public_key().public_bytes_raw()
-    assert _ed25519.sign(seed, msg) == sk.sign(msg)
-    assert _ed25519.verify(_ed25519.public_from_seed(seed), _ed25519.sign(seed, msg), msg)
-    assert not _ed25519.verify(_ed25519.public_from_seed(seed), b"\x00" * 64, msg)
+    public_key, signing_key = _ed25519.keypair(seed)
+    assert public_key == sk.public_key().public_bytes_raw()
+    assert _ed25519.sign(signing_key, msg) == sk.sign(msg)
+    assert _ed25519.verify(public_key, _ed25519.sign(signing_key, msg), msg)
+    assert not _ed25519.verify(public_key, b"\x00" * 64, msg)
 
 
 # --- consent semantics ---
@@ -472,3 +474,100 @@ def test_profile_file_round_trip(tmp_path):
     assert back.blocks == profile.blocks
     assert back.public_key == profile.public_key
     assert import_profile(back).consent is True
+
+
+def _block_doc_with(**changes) -> str:
+    doc = sample_ledger()[0][1].to_json_dict()
+    doc.update(changes)
+    return json.dumps(doc, sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "line",
+    [
+        "[1,2]",
+        "5",
+        '"block"',
+        "null",
+        _block_doc_with(index=None),
+        _block_doc_with(index="1"),
+        _block_doc_with(index=1.0),
+        _block_doc_with(index=True),
+        _block_doc_with(timestamp=None),
+        _block_doc_with(prev_hash_hex=5),
+        _block_doc_with(author_hex=None),
+        _block_doc_with(payload_type=["Post"]),
+        _block_doc_with(payload_b64=7),
+        _block_doc_with(signature_hex=[]),
+        _block_doc_with(hash_hex={}),
+        "[" * 100_000,
+    ],
+    ids=[
+        "array", "number", "string", "null", "index-null", "index-string", "index-float",
+        "index-bool", "timestamp-null", "prev-hash-number", "author-null",
+        "payload-type-array", "payload-number", "signature-array", "hash-object",
+        "deep-nesting",
+    ],
+)
+def test_load_ledger_rejects_mistyped_line(tmp_path, line):
+    path = tmp_path / "chain.jsonl"
+    save_ledger(sample_ledger()[0], path)
+    lines = path.read_text().splitlines()
+    lines[1] = line
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError) as exc:
+        load_ledger(path)
+    assert exc.value.line == 2
+
+
+def test_load_ledger_reports_non_utf8_line(tmp_path):
+    path = tmp_path / "chain.jsonl"
+    save_ledger(sample_ledger()[0], path)
+    lines = path.read_bytes().splitlines()
+    lines[3] = lines[3].replace(b"payload_type", b"payload_\xfftype")
+    path.write_bytes(b"\n".join(lines) + b"\n")
+    with pytest.raises(ParseError) as exc:
+        load_ledger(path)
+    assert exc.value.line == 4
+
+
+@pytest.mark.skipif(_ed25519._sodium is None, reason="libsodium is not loaded")
+def test_backends_byte_identical(monkeypatch):
+    from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
+
+    rng = random.Random(3)
+    seeds = [bytes(32), bytes(range(32))] + [rng.randbytes(32) for _ in range(6)]
+    messages = [b"", b"m", rng.randbytes(300)]
+    flips = [rng.randrange(512) for _ in range(len(seeds) * len(messages))]
+
+    def outputs():
+        """Keys, then (public key, signature, verify of it, of a bit-flipped
+        copy, of it over a longer message) per seed and message, then a
+        signed chain and its report."""
+        keys = [Keypair(seed) for seed in seeds]
+        pairs = [(kp, msg) for kp in keys for msg in messages]
+        checks = []
+        for (kp, msg), bit in zip(pairs, flips):
+            sig = kp.sign(msg)
+            checks.append((
+                kp.public_key,
+                sig,
+                _ed25519.verify(kp.public_key, sig, msg),
+                _ed25519.verify(kp.public_key, flip_bit(sig, bit), msg),
+                _ed25519.verify(kp.public_key, sig, msg + b"\x00"),
+            ))
+        led = sample_ledger()[0]
+        return keys, checks, led, verify_chain(led)
+
+    sodium_keys, sodium, sodium_ledger, sodium_report = outputs()
+    monkeypatch.setattr(_ed25519, "_sodium", None)
+    fallback_keys, fallback, fallback_ledger, fallback_report = outputs()
+
+    assert isinstance(fallback_keys[0]._signing_key, Ed25519PrivateKey)
+    assert not isinstance(sodium_keys[0]._signing_key, Ed25519PrivateKey)
+    assert fallback == sodium
+    assert all(ok and not flipped and not longer for _, _, ok, flipped, longer in sodium)
+    assert fallback_ledger.blocks == sodium_ledger.blocks
+    assert sodium_report.valid and fallback_report.valid
+    # a chain signed under libsodium verifies under the fallback
+    assert verify_chain(sodium_ledger).valid

@@ -1,0 +1,153 @@
+"""File writes: CLI ledger appends and atomic whole-file replacement."""
+
+import contextlib
+import io
+import tempfile
+import types
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import echofeed.cli
+import echofeed.model
+from echofeed.cli import main
+from echofeed.ledger import (
+    Keypair,
+    LedgerBlock,
+    PayloadType,
+    append_event,
+    load_ledger,
+    new_ledger,
+    save_ledger,
+    verify_chain,
+)
+from echofeed.model import init_model, save_model
+
+USERS = 4
+
+
+def quiet_main(*args) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return main([str(a) for a in args])
+
+
+users = st.integers(0, USERS - 1)
+cli_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("post"), users,
+                  st.text(st.characters(blacklist_categories=("Cs",)), max_size=12)),
+        st.tuples(st.just("credit"), users, st.integers(0, 2**64 - 1)),
+        st.tuples(st.just("consent"), users, st.booleans()),
+        st.tuples(st.just("train"), st.integers(0, 3), st.integers(0, 3)),
+    ),
+    max_size=8,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(ops=cli_ops)
+def test_cli_appends_match_a_full_rewrite(ops):
+    """However the CLI writers are interleaved, the file they leave is the
+    file save_ledger writes for the chain it holds."""
+    with tempfile.TemporaryDirectory() as d:
+        d = Path(d)
+        chain, keys, csv = d / "chain.jsonl", d / "keys.json", d / "ratings.csv"
+        csv.write_text("".join(f"{u},{e},{1 + (u + e) % 4}\n"
+                               for u in range(USERS) for e in range(3)))
+        assert quiet_main("ledger", "init", "--out", chain, "--keys", keys,
+                          "--users", USERS, "--timestamp", 100) == 0
+        consenting = set()
+        for ts, (kind, a, b) in enumerate(ops, start=101):
+            expect = 0
+            if kind == "post":
+                args = ["ledger", "append", chain, "--user", a, f"--payload={b}"]
+            elif kind == "credit":
+                args = ["ledger", "append", chain, "--user", a, "--type", "credit",
+                        "--amount", b]
+            elif kind == "consent":
+                args = ["ledger", "consent", chain, "--user", a, "--grant" if b else "--revoke"]
+                (consenting.add if b else consenting.discard)(a)
+            else:
+                args = ["train", csv, "--out", d / "model.json", "--ledger", chain,
+                        "--reward", a, "--seed", b, "--epochs", 1]
+                # with nobody consenting there is nothing to train on
+                expect = 0 if consenting else 1
+            assert quiet_main(*args, "--keys", keys, "--timestamp", ts) == expect
+        data = chain.read_bytes()
+        ledger = load_ledger(chain)
+        assert verify_chain(ledger).valid
+        save_ledger(ledger, d / "rewritten.jsonl")
+        assert data == (d / "rewritten.jsonl").read_bytes()
+
+
+# --- atomic whole-file writes ---
+
+
+def _failing_after(n, real):
+    """Stand-in for a serialiser that works n times, then raises."""
+    calls = iter(range(n + 1))
+
+    def fake(*args, **kwargs):
+        if next(calls) == n:
+            raise RuntimeError("serialiser failed")
+        return real(*args, **kwargs)
+
+    return fake
+
+
+def _ledger(n_posts):
+    led, kp = new_ledger(10), Keypair(bytes([7]) * 32)
+    for i in range(n_posts):
+        append_event(led, kp, PayloadType.POST, b"p%d" % i, 11 + i)
+    return led
+
+
+def _save_ledger_midway(tmp_path, monkeypatch):
+    path = tmp_path / "chain.jsonl"
+    save_ledger(_ledger(2), path)
+    # the third block fails, after two lines went to the temporary file
+    monkeypatch.setattr(LedgerBlock, "to_json_dict",
+                        _failing_after(2, LedgerBlock.to_json_dict))
+    return path, lambda: save_ledger(_ledger(5), path)
+
+
+def _save_model_midway(tmp_path, monkeypatch):
+    path = tmp_path / "model.json"
+    save_model(init_model(3, 3, 2, 0.0, 1), path)
+    monkeypatch.setattr(echofeed.model, "json",
+                        types.SimpleNamespace(dumps=_failing_after(0, None)))
+    return path, lambda: save_model(init_model(4, 4, 2, 0.0, 2), path)
+
+
+def _keystore_midway(tmp_path, monkeypatch):
+    path = tmp_path / "keys.json"
+    assert quiet_main("ledger", "init", "--out", tmp_path / "chain.jsonl", "--keys", path,
+                      "--users", 2) == 0
+    monkeypatch.setattr(echofeed.cli, "json", types.SimpleNamespace(dumps=_failing_after(0, None)))
+    return path, lambda: main(["ledger", "init", "--out", str(tmp_path / "chain.jsonl"),
+                               "--keys", str(path), "--users", "3", "--key-seed", "1"])
+
+
+def _report_midway(tmp_path, monkeypatch):
+    path, csv = tmp_path / "report.json", tmp_path / "ratings.csv"
+    csv.write_text("0,0,1\n1,1,2\n")
+    train = ["train", str(csv), "--out", str(tmp_path / "model.json"), "--report", str(path)]
+    assert quiet_main(*train, "--epochs", 2) == 0
+    monkeypatch.setattr(echofeed.cli, "json", types.SimpleNamespace(dumps=_failing_after(0, None)))
+    return path, lambda: main([*train, "--epochs", "3"])
+
+
+@pytest.mark.parametrize(
+    "setup", [_save_ledger_midway, _save_model_midway, _keystore_midway, _report_midway],
+    ids=["save_ledger", "save_model", "keystore", "report"],
+)
+def test_failed_write_leaves_old_file(tmp_path, monkeypatch, capsys, setup):
+    path, write = setup(tmp_path, monkeypatch)
+    before = path.read_bytes()
+    listing = sorted(p.name for p in tmp_path.iterdir())
+    with pytest.raises(RuntimeError, match="serialiser failed"):
+        write()
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == listing
