@@ -12,12 +12,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 import time
 from pathlib import Path
 
 from . import ledger as led
 from ._atomic import atomic_write
+from ._ed25519 import PUBLIC_KEY_SIZE
 from .errors import EchoFeedError, ParseError, SigningFailureError, UnregisteredUserError
 from .model import init_model, load_model, save_model
 from .ratings import load_csv, split_holdout, write_csv
@@ -64,7 +66,13 @@ def _keystore_entry(keystore: dict[int, led.Keypair], user: int) -> led.Keypair:
 
 def _resolve_author(args, parser) -> bytes:
     if args.author:
-        return bytes.fromhex(args.author)
+        try:
+            author = bytes.fromhex(args.author)
+        except ValueError:
+            author = b""
+        if len(author) != PUBLIC_KEY_SIZE:
+            parser.error(f"--author must be {PUBLIC_KEY_SIZE} bytes in hex, got {args.author!r}")
+        return author
     if args.user is None or args.keys is None:
         parser.error("provide either --author or both --user and --keys")
     keystore = _load_keystore(Path(args.keys))
@@ -220,7 +228,7 @@ def cmd_ledger(args, parser) -> int:
             block = led.credit_tokens(chain, kp, args.amount, ts)
         else:
             block = led.append_event(
-                chain, kp, led.PayloadType.POST, args.payload.encode("utf-8"), ts
+                chain, kp, led.PayloadType.POST, os.fsencode(args.payload), ts
             )
         led.append_blocks([block], args.ledger)
         print(f"appended block {block.index}")
@@ -303,8 +311,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--holdout", type=float, default=0.1)
     p.add_argument("--out", required=True, help="metrics JSON path")
     p.add_argument("--csv", help="also write metrics as CSV")
-    p.add_argument("--timestamp", type=int, default=None,
-                   help="accepted for uniform scripting; simulate output contains no timestamps")
 
     pl = sub.add_parser("ledger", help="consent ledger operations")
     actions = pl.add_subparsers(dest="action", required=True)

@@ -81,13 +81,25 @@ def check_dimensions(model: FactorModel, matrix: RatingMatrix) -> None:
         )
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products along the last axis, broadcasting the leading axes.
+
+    The one scoring kernel: predict, top_k, objective and rmse all score
+    through it, so a cell gets the same bits whether it is scored alone, in
+    a row of all events, or among gathered observations. einsum's summation
+    order depends on memory layout, hence the C-contiguous operands (no
+    copy for the arrays this package creates).
+    """
+    return np.einsum("...j,...j->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
+
+
 def predict(model: FactorModel, u: int, i: int) -> float:
     """Predicted engagement for (user u, event i): the factor dot product."""
     if not 0 <= u < model.n_users:
         raise IndexOutOfRangeError(f"user index {u} outside [0, {model.n_users})")
     if not 0 <= i < model.n_events:
         raise IndexOutOfRangeError(f"event index {i} outside [0, {model.n_events})")
-    return float(model.user_factors[u] @ model.event_factors[i])
+    return float(_dot(model.user_factors[u], model.event_factors[i]))
 
 
 def l2_penalty(model: FactorModel) -> float:
@@ -105,10 +117,9 @@ def objective(model: FactorModel, matrix: RatingMatrix) -> float:
     value is reproducible run to run.
     """
     check_dimensions(model, matrix)
-    preds = np.einsum(
-        "ij,ij->i", model.user_factors[matrix.users], model.event_factors[matrix.events]
+    resid = matrix.values - _dot(
+        model.user_factors[matrix.users], model.event_factors[matrix.events]
     )
-    resid = matrix.values - preds
     return float(resid @ resid) + model.gamma * l2_penalty(model)
 
 

@@ -91,17 +91,6 @@ class RatingMatrix:
             map(Rating, self.users.tolist(), self.events.tolist(), self.values.tolist())
         )
 
-    @cached_property
-    def events_by_user(self) -> dict[int, frozenset[int]]:
-        """Observed event indices keyed by user (absent user: no events)."""
-        starts = np.flatnonzero(np.diff(self.users, prepend=-1))
-        bounds = starts.tolist() + [len(self)]
-        events = self.events.tolist()
-        return {
-            u: frozenset(events[a:b])
-            for u, a, b in zip(self.users[starts].tolist(), bounds, bounds[1:])
-        }
-
 
 def _check_triplet(triplet, n_users, n_events) -> None:
     """Convert and check one triplet in reporting order, raising on a bad one."""

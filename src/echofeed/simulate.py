@@ -16,7 +16,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidParameterError,
 )
-from .model import FactorModel, check_dimensions
+from .model import FactorModel, _dot, check_dimensions
 from .ratings import RatingMatrix
 
 
@@ -55,20 +55,17 @@ def top_k(
         raise IndexOutOfRangeError(f"user index {u} outside [0, {model.n_users})")
     if k_recs < 1:
         raise InvalidParameterError(f"k_recs must be >= 1, got {k_recs}")
-    # per-event dots rather than one matvec so scores agree bit-for-bit
-    # with predict()
-    x = model.user_factors[u]
-    scores = [float(row @ x) for row in model.event_factors]
+    scores = _dot(model.event_factors, model.user_factors[u])
+    candidates = np.arange(model.n_events)
     if exclude_observed:
-        seen = matrix.events_by_user.get(u, frozenset())
-        candidates = [i for i in range(model.n_events) if i not in seen]
-    else:
-        candidates = list(range(model.n_events))
-    ranked = sorted(candidates, key=lambda i: (-scores[i], i))[:k_recs]
+        lo, hi = np.searchsorted(matrix.users, (u, u + 1))
+        candidates = np.delete(candidates, matrix.events[lo:hi])
+    # a stable sort of ascending candidates breaks score ties toward the lower index
+    ranked = candidates[np.argsort(-scores[candidates], kind="stable")[:k_recs]]
     return RecommendationList(
         user=u,
-        events=tuple(ranked),
-        scores=tuple(scores[i] for i in ranked),
+        events=tuple(ranked.tolist()),
+        scores=tuple(scores[ranked].tolist()),
     )
 
 

@@ -23,7 +23,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteUpdateError,
 )
-from .model import FactorModel, check_dimensions, objective
+from .model import FactorModel, _dot, check_dimensions, objective
 from .ratings import Rating, RatingMatrix
 
 
@@ -172,8 +172,7 @@ def rmse(model: FactorModel, matrix: RatingMatrix) -> float:
     check_dimensions(model, matrix)
     if not len(matrix):
         raise EmptyMatrixError("rmse needs at least one observation")
-    preds = np.einsum(
-        "ij,ij->i", model.user_factors[matrix.users], model.event_factors[matrix.events]
+    resid = matrix.values - _dot(
+        model.user_factors[matrix.users], model.event_factors[matrix.events]
     )
-    resid = matrix.values - preds
     return math.sqrt(float(resid @ resid) / len(resid))

@@ -541,7 +541,7 @@ def test_criterion_10_cli_determinism(tmp_path):
         code = main([
             "simulate", "--users", "16", "--events", "16", "--rounds", "2",
             "--epochs", "30", "--seed", "3", "--out", str(d / "metrics.json"),
-            "--csv", str(d / "metrics.csv"), "--timestamp", "999",
+            "--csv", str(d / "metrics.csv"),
         ])
         assert code == 0
         sim_outputs.append(

@@ -250,6 +250,30 @@ def test_ledger_credit_append(tmp_path, capsys, consent_env):
     assert out.strip() == "9"
 
 
+def test_ledger_post_payload_bytes_round_trip(tmp_path, capsys, consent_env):
+    ledger, keys = consent_env
+    # argv holding the bytes b"caf\xc3\xa9\xff" decodes to this string (surrogateescape)
+    code, _, _ = run(
+        capsys, "ledger", "append", ledger, "--keys", keys, "--user", 2,
+        "--payload", "caf\u00e9\udcff", "--timestamp", 650,
+    )
+    assert code == 0
+    chain = load_ledger(ledger)
+    assert chain.blocks[-1].payload == b"caf\xc3\xa9\xff"
+    assert verify_chain(chain).valid
+
+
+@pytest.mark.parametrize("author", ["zz", "ab" * 31, "ab" * 33], ids=["non-hex", "short", "long"])
+@pytest.mark.parametrize("action", ["balance", "export"])
+def test_ledger_bad_author_is_usage_error(tmp_path, capsys, consent_env, action, author):
+    ledger, _ = consent_env
+    extra = ["--out", str(tmp_path / "profile.json")] if action == "export" else []
+    with pytest.raises(SystemExit) as exc:
+        main(["ledger", action, str(ledger), "--author", author, *extra])
+    assert exc.value.code == 2
+    assert "--author must be 32 bytes in hex" in capsys.readouterr().err
+
+
 def test_ledger_export_import_round_trip(tmp_path, capsys, consent_env):
     ledger, keys = consent_env
     run(capsys, "ledger", "append", ledger, "--keys", keys, "--user", 3,

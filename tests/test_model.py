@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echofeed.errors import (
     DimensionMismatchError,
@@ -20,6 +22,7 @@ from echofeed.model import (
     save_model,
 )
 from echofeed.ratings import from_triplets
+from echofeed.training import rmse
 
 
 def manual_model(user_rows, event_rows, gamma=0.0):
@@ -115,6 +118,25 @@ def test_objective_single_residual():
     m = manual_model([[1.0]], [[1.0]])
     matrix = from_triplets([(0, 0, 4.0)], 1, 1)
     assert objective(m, matrix) == pytest.approx(9.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    k=st.integers(1, 64),
+    seed=st.integers(0, 2**32 - 1),
+    r=st.floats(0.5, 5.0),
+    order=st.sampled_from("CF"),
+)
+def test_objective_one_cell_is_predict_residual(k, seed, r, order):
+    rng = np.random.default_rng(seed)
+    uf, ef = (np.asarray(rng.normal(size=(2, k)), order=order) for _ in range(2))
+    m = FactorModel(k=k, gamma=0.0, user_factors=uf, event_factors=ef)
+    matrix = from_triplets([(0, 0, r)], 2, 2)
+    resid = r - predict(m, 0, 0)
+    # exact: objective and rmse score cells with the same kernel as predict
+    # (a product, not ** 2: libm's pow is not always correctly rounded)
+    assert objective(m, matrix) == resid * resid
+    assert rmse(m, matrix) == abs(resid)
 
 
 def test_objective_with_penalty():

@@ -82,11 +82,6 @@ def test_negative_dimensions_rejected():
         from_triplets([], -1, 3)
 
 
-def test_events_by_user():
-    m = from_triplets([(0, 1, 2.0), (0, 3, 1.0), (2, 0, 4.0)], 3, 4)
-    assert m.events_by_user == {0: frozenset({1, 3}), 2: frozenset({0})}
-
-
 # --- CSV ---
 
 

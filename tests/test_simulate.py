@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echofeed.errors import (
     EmptyInputError,
@@ -46,14 +48,36 @@ def test_top_k_ranks_by_score():
     assert recs.scores == (3.0, 2.0, 1.0)
 
 
-def test_top_k_matches_full_sort_oracle():
-    model = init_model(20, 30, 3, 0.0, seed=21, scale=1.0)
-    matrix = from_triplets([], 20, 30)
-    for u in range(20):
-        recs = top_k(model, matrix, u, 30, exclude_observed=False)
-        oracle = sorted(
-            range(30), key=lambda i: (-predict(model, u, i), i)
-        )
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=st.tuples(st.integers(1, 4), st.integers(1, 40), st.integers(1, 64)),
+    seed=st.integers(0, 2**32 - 1),
+    k_recs=st.integers(1, 64),
+    exclude_observed=st.booleans(),
+    data=st.data(),
+)
+def test_top_k_matches_full_sort_oracle(shape, seed, k_recs, exclude_observed, data):
+    n_users, n_events, k = shape
+    rng = np.random.default_rng(seed)
+    uf = rng.normal(size=(n_users, k))
+    ef = rng.normal(size=(n_events, k))
+    event = st.integers(0, n_events - 1)
+    # duplicated event rows score exactly alike, so ties must break by index
+    for dst, src in data.draw(st.lists(st.tuples(event, event), max_size=n_events)):
+        ef[dst] = ef[src]
+    if data.draw(st.booleans()):
+        uf[-1] = 0.0  # every score of the last user is a signed zero
+    model = FactorModel(k=k, gamma=0.0, user_factors=uf, event_factors=ef)
+    observed = data.draw(st.sets(st.tuples(st.integers(0, n_users - 1), event)))
+    if data.draw(st.booleans()):
+        observed |= {(0, i) for i in range(n_events)}  # user 0 has seen every event
+    matrix = from_triplets([(u, i, 1.0) for u, i in observed], n_users, n_events)
+    for u in range(n_users):
+        candidates = [
+            i for i in range(n_events) if not (exclude_observed and (u, i) in observed)
+        ]
+        oracle = sorted(candidates, key=lambda i: (-predict(model, u, i), i))[:k_recs]
+        recs = top_k(model, matrix, u, k_recs, exclude_observed=exclude_observed)
         assert list(recs.events) == oracle
         assert list(recs.scores) == [predict(model, u, i) for i in oracle]
 
