@@ -17,13 +17,10 @@ from .ledger import (
     PayloadType,
     PortableProfile,
     UserAccount,
-    account_state,
+    accounts,
     append_blocks,
     append_event,
-    balance,
-    consent_state,
     consented_ratings,
-    consenting_keys,
     credit_tokens,
     export_profile,
     import_profile,
@@ -80,13 +77,10 @@ __all__ = [
     "TrainConfig",
     "TrainReport",
     "UserAccount",
-    "account_state",
+    "accounts",
     "append_blocks",
     "append_event",
-    "balance",
-    "consent_state",
     "consented_ratings",
-    "consenting_keys",
     "credit_tokens",
     "engagement_round",
     "export_profile",

@@ -64,21 +64,20 @@ def _keystore_entry(keystore: dict[int, led.Keypair], user: int) -> led.Keypair:
     return keystore[user]
 
 
-def _resolve_author(args, parser) -> bytes:
+def _resolve_author(args) -> bytes:
     if args.author:
         try:
             author = bytes.fromhex(args.author)
         except ValueError:
             author = b""
         if len(author) != PUBLIC_KEY_SIZE:
-            parser.error(f"--author must be {PUBLIC_KEY_SIZE} bytes in hex, got {args.author!r}")
+            args.usage_error(
+                f"--author must be {PUBLIC_KEY_SIZE} bytes in hex, got {args.author!r}"
+            )
         return author
     if args.user is None or args.keys is None:
-        parser.error("provide either --author or both --user and --keys")
-    keystore = _load_keystore(Path(args.keys))
-    if args.user not in keystore:
-        parser.error(f"user {args.user} not present in keystore {args.keys}")
-    return keystore[args.user].public_key
+        args.usage_error("provide either --author or both --user and --keys")
+    return _keystore_entry(_load_keystore(Path(args.keys)), args.user).public_key
 
 
 def _train_config(args) -> TrainConfig:
@@ -119,10 +118,10 @@ def cmd_train(args) -> int:
     if ledger_obj is not None:
         ts = _now_or(args.timestamp)
         # credits never change consent, so one replay serves the whole loop
-        consenting = led.consenting_keys(ledger_obj)
+        state = led.accounts(ledger_obj.blocks, (kp.public_key for kp in keystore.values()))
         start = len(ledger_obj)
         for idx in sorted(keystore):
-            if keystore[idx].public_key in consenting:
+            if state[keystore[idx].public_key].consent:
                 led.credit_tokens(ledger_obj, keystore[idx], args.reward, ts)
         led.append_blocks(ledger_obj.blocks[start:], args.ledger)
     print(f"final_objective={report.loss_history[-1]!r}")
@@ -189,7 +188,7 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_ledger(args, parser) -> int:
+def cmd_ledger(args) -> int:
     action = args.action
     if action == "init":
         chain = led.new_ledger(_now_or(args.timestamp))
@@ -241,11 +240,11 @@ def cmd_ledger(args, parser) -> int:
         print(f"appended block {block.index}")
         return 0
     if action == "balance":
-        author = _resolve_author(args, parser)
-        print(led.balance(chain, author))
+        author = _resolve_author(args)
+        print(led.accounts(chain.blocks, [author])[author].token_balance)
         return 0
     if action == "export":
-        author = _resolve_author(args, parser)
+        author = _resolve_author(args)
         profile = led.export_profile(chain, author)
         led.save_profile(profile, args.out)
         print(f"exported {len(profile.blocks)} blocks to {args.out}")
@@ -351,6 +350,7 @@ def build_parser() -> argparse.ArgumentParser:
         a.add_argument("--keys")
         if name == "export":
             a.add_argument("--out", required=True)
+        a.set_defaults(usage_error=a.error)
 
     a = actions.add_parser("import")
     a.add_argument("profile")
@@ -369,10 +369,9 @@ def main(argv=None) -> int:
         "eval": cmd_eval,
         "recommend": cmd_recommend,
         "simulate": cmd_simulate,
+        "ledger": cmd_ledger,
     }
     try:
-        if args.command == "ledger":
-            return cmd_ledger(args, parser)
         return handlers[args.command](args)
     except (EchoFeedError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -66,7 +66,7 @@ class SigningFailureError(EchoFeedError):
     """A block could not be signed."""
 
 
-class UnregisteredUserError(EchoFeedError, KeyError):
+class UnregisteredUserError(EchoFeedError):
     """A user has no registered public key (or no blocks on the ledger)."""
 
 

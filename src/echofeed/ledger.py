@@ -17,9 +17,9 @@ computed over exactly these bytes; the stored JSON representation is just a
 transport. The genesis block is system-authored (all-zero key) and carries
 an all-zero signature, which verification accepts at index 0 only.
 
-Consent and token balances are pure functions of the chain: replaying the
-blocks reproduces them, and a user's latest consent block wins (default
-before any consent block: False, opt-in).
+Consent and token balances are pure functions of the chain: `accounts`
+replays the blocks to reproduce them, and a user's latest consent block wins
+(default before any consent block: False, opt-in).
 """
 
 from __future__ import annotations
@@ -145,7 +145,6 @@ class UserAccount:
     """Replay-derived view of one account at the current chain tip."""
 
     public_key: bytes
-    user_index: int | None
     consent: bool
     token_balance: int
 
@@ -156,7 +155,6 @@ class PortableProfile:
 
     public_key: bytes
     blocks: tuple[LedgerBlock, ...]
-    chain_proof: tuple[bytes, ...]
 
 
 @dataclass(frozen=True)
@@ -293,6 +291,36 @@ def credit_tokens(ledger: Ledger, keypair: Keypair, amount: int, timestamp: int)
     )
 
 
+def _check_block(block: LedgerBlock) -> str | None:
+    """The fault a block shows on its own, without its neighbours.
+
+    HASH_MISMATCH if its fields do not encode or do not hash to its
+    `hash`, else BAD_SIGNATURE if its signature fails, else None.
+    """
+    try:
+        canonical = signing_bytes(
+            block.index,
+            block.prev_hash,
+            block.timestamp,
+            block.author,
+            block.payload_type,
+            block.payload,
+        )
+    except (struct.error, ValueError):
+        # unencodable fields cannot hash to anything, let alone match
+        return HASH_MISMATCH
+    if block_hash(canonical) != block.hash:
+        return HASH_MISMATCH
+    if block.author == GENESIS_AUTHOR:
+        # only the genesis block may be unsigned, and its placeholder
+        # signature is pinned so it is as tamper-evident as the rest
+        if block.index != 0 or block.signature != EMPTY_SIGNATURE:
+            return BAD_SIGNATURE
+    elif not _ed25519.verify(block.author, block.signature, canonical):
+        return BAD_SIGNATURE
+    return None
+
+
 def verify_chain(ledger: Ledger) -> ChainReport:
     """Check every block: hash, linkage, index continuity, signature.
 
@@ -300,42 +328,31 @@ def verify_chain(ledger: Ledger) -> ChainReport:
     """
     prev = ZERO_HASH
     for pos, block in enumerate(ledger.blocks):
-        try:
-            canonical = signing_bytes(
-                block.index,
-                block.prev_hash,
-                block.timestamp,
-                block.author,
-                block.payload_type,
-                block.payload,
-            )
-        except (struct.error, ValueError):
-            # unencodable fields cannot hash to anything, let alone match
-            return ChainReport(False, pos, HASH_MISMATCH)
-        if block_hash(canonical) != block.hash:
+        fault = _check_block(block)
+        if fault == HASH_MISMATCH:
             return ChainReport(False, pos, HASH_MISMATCH)
         if block.prev_hash != prev:
             return ChainReport(False, pos, BROKEN_LINK)
         if block.index != pos:
             return ChainReport(False, pos, BAD_INDEX)
-        if block.author == GENESIS_AUTHOR:
-            # only the genesis block may be unsigned, and its placeholder
-            # signature is pinned so it is as tamper-evident as the rest
-            if pos != 0 or block.signature != EMPTY_SIGNATURE:
-                return ChainReport(False, pos, BAD_SIGNATURE)
-        elif not _ed25519.verify(block.author, block.signature, canonical):
-            return ChainReport(False, pos, BAD_SIGNATURE)
+        if fault is not None:
+            return ChainReport(False, pos, fault)
         prev = block.hash
     return ChainReport(True)
 
 
-def _replay(blocks: Iterable[LedgerBlock]) -> dict[bytes, list]:
-    """author -> [consent, balance], derived purely from the blocks."""
-    state: dict[bytes, list] = {}
+def accounts(blocks: Iterable[LedgerBlock], keys: Iterable[bytes]) -> dict[bytes, UserAccount]:
+    """Replay the blocks once; the account of every key asked about.
+
+    A key's latest consent block wins, and a key with none has not
+    consented (opt-in). Balances sum the key's TokenCredit amounts.
+    """
+    state = {bytes(key): [False, 0] for key in keys}
     for block in blocks:
-        if block.author == GENESIS_AUTHOR:
+        entry = state.get(block.author)
+        # the system (genesis) account holds no consent and no tokens
+        if entry is None or block.author == GENESIS_AUTHOR:
             continue
-        entry = state.setdefault(block.author, [False, 0])
         ptype = block.payload_type
         if ptype == PayloadType.CONSENT_GRANT:
             entry[0] = True
@@ -343,34 +360,7 @@ def _replay(blocks: Iterable[LedgerBlock]) -> dict[bytes, list]:
             entry[0] = False
         elif ptype == PayloadType.TOKEN_CREDIT:
             entry[1] += int.from_bytes(block.payload, "big")
-    return state
-
-
-def consent_state(ledger: Ledger, public_key: bytes) -> bool:
-    entry = _replay(ledger.blocks).get(bytes(public_key))
-    return entry[0] if entry else False
-
-
-def consenting_keys(ledger: Ledger) -> frozenset[bytes]:
-    """Public keys whose latest consent block grants consent (one replay)."""
-    return frozenset(key for key, (consent, _) in _replay(ledger.blocks).items() if consent)
-
-
-def balance(ledger: Ledger, public_key: bytes) -> int:
-    entry = _replay(ledger.blocks).get(bytes(public_key))
-    return entry[1] if entry else 0
-
-
-def account_state(
-    ledger: Ledger, public_key: bytes, user_index: int | None = None
-) -> UserAccount:
-    entry = _replay(ledger.blocks).get(bytes(public_key), [False, 0])
-    return UserAccount(
-        public_key=bytes(public_key),
-        user_index=user_index,
-        consent=entry[0],
-        token_balance=entry[1],
-    )
+    return {key: UserAccount(key, consent, tokens) for key, (consent, tokens) in state.items()}
 
 
 def consented_ratings(
@@ -385,21 +375,17 @@ def consented_ratings(
     missing = [u for u in present if u not in registry]
     if missing:
         raise UnregisteredUserError(f"users {missing} have no registered public key")
-    keys = consenting_keys(ledger)
-    return filter_users(matrix, [u for u in present if bytes(registry[u]) in keys])
+    state = accounts(ledger.blocks, (registry[u] for u in present))
+    return filter_users(matrix, [u for u in present if state[bytes(registry[u])].consent])
 
 
 def export_profile(ledger: Ledger, public_key: bytes) -> PortableProfile:
-    """All blocks authored by this key, with their chain hashes."""
+    """All blocks authored by this key, in ledger order."""
     public_key = bytes(public_key)
     blocks = tuple(b for b in ledger.blocks if b.author == public_key)
     if not blocks:
         raise UnregisteredUserError(f"no blocks authored by {public_key.hex()}")
-    return PortableProfile(
-        public_key=public_key,
-        blocks=blocks,
-        chain_proof=tuple(b.hash for b in blocks),
-    )
+    return PortableProfile(public_key=public_key, blocks=blocks)
 
 
 def import_profile(profile: PortableProfile) -> UserAccount:
@@ -411,40 +397,22 @@ def import_profile(profile: PortableProfile) -> UserAccount:
     """
     if not profile.blocks:
         raise VerificationFailureError("profile contains no blocks")
-    if len(profile.chain_proof) != len(profile.blocks):
-        raise VerificationFailureError("chain proof does not cover every block")
     last_index = -1
-    for block, proof in zip(profile.blocks, profile.chain_proof):
+    for block in profile.blocks:
         if block.author != profile.public_key:
             raise VerificationFailureError(
                 f"block {block.index} authored by a different key"
             )
-        try:
-            canonical = signing_bytes(
-                block.index,
-                block.prev_hash,
-                block.timestamp,
-                block.author,
-                block.payload_type,
-                block.payload,
-            )
-        except (struct.error, ValueError) as exc:
-            raise VerificationFailureError(f"block {block.index}: {exc}") from exc
-        if block_hash(canonical) != block.hash or block.hash != proof:
+        fault = _check_block(block)
+        if fault == HASH_MISMATCH:
             raise VerificationFailureError(f"block {block.index}: hash mismatch")
-        if not _ed25519.verify(block.author, block.signature, canonical):
+        # the genesis key signs nothing, so a profile under it proves nothing
+        if fault is not None or block.author == GENESIS_AUTHOR:
             raise VerificationFailureError(f"block {block.index}: bad signature")
         if block.index <= last_index:
             raise VerificationFailureError(f"block {block.index}: out of order")
         last_index = block.index
-    state = _replay(profile.blocks)
-    entry = state.get(profile.public_key, [False, 0])
-    return UserAccount(
-        public_key=profile.public_key,
-        user_index=None,
-        consent=entry[0],
-        token_balance=entry[1],
-    )
+    return accounts(profile.blocks, [profile.public_key])[profile.public_key]
 
 
 def _block_line(block: LedgerBlock) -> str:
@@ -497,11 +465,13 @@ def load_ledger(path: str | Path) -> Ledger:
 
 
 def save_profile(profile: PortableProfile, path: str | Path) -> None:
+    """The profile as one JSON document, replacing the file atomically."""
     doc = {
         "public_key_hex": profile.public_key.hex(),
         "blocks": [b.to_json_dict() for b in profile.blocks],
     }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def load_profile(path: str | Path) -> PortableProfile:
@@ -510,10 +480,6 @@ def load_profile(path: str | Path) -> PortableProfile:
         doc = json.loads(path.read_text(encoding="utf-8"))
         public_key = bytes.fromhex(doc["public_key_hex"])
         blocks = tuple(LedgerBlock.from_json_dict(b) for b in doc["blocks"])
-    except (KeyError, TypeError, ValueError, json.JSONDecodeError) as exc:
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not a valid profile file ({exc})") from exc
-    return PortableProfile(
-        public_key=public_key,
-        blocks=blocks,
-        chain_proof=tuple(b.hash for b in blocks),
-    )
+    return PortableProfile(public_key=public_key, blocks=blocks)

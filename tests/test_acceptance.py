@@ -22,9 +22,8 @@ from echofeed.ledger import (
     Keypair,
     Ledger,
     PayloadType,
+    accounts,
     append_event,
-    balance,
-    consent_state,
     consented_ratings,
     credit_tokens,
     export_profile,
@@ -408,12 +407,13 @@ def test_criterion_8_token_conservation_and_replay():
             credit_tokens(led, kp, amount, t)
             tracked[kp.public_key][1] += amount
             minted += amount
+    state = accounts(led.blocks, tracked)
     replay_ok = all(
-        consent_state(led, kp.public_key) == tracked[kp.public_key][0]
-        and balance(led, kp.public_key) == tracked[kp.public_key][1]
+        state[kp.public_key].consent == tracked[kp.public_key][0]
+        and state[kp.public_key].token_balance == tracked[kp.public_key][1]
         for kp in users
     )
-    conserved = sum(balance(led, kp.public_key) for kp in users) == minted
+    conserved = sum(state[kp.public_key].token_balance for kp in users) == minted
     ok = replay_ok and conserved and verify_chain(led).valid and len(led) == 1001
     report(
         8,
@@ -440,9 +440,10 @@ def test_criterion_9_portable_profile_round_trip():
 
     profile = export_profile(led, alice.public_key)
     account = import_profile(profile)
+    replayed = accounts(led.blocks, [alice.public_key])[alice.public_key]
     round_trip_ok = (
-        account.consent is consent_state(led, alice.public_key)
-        and account.token_balance == balance(led, alice.public_key) == 7
+        account.consent is replayed.consent
+        and account.token_balance == replayed.token_balance == 7
     )
 
     tampered_detected = 0

@@ -263,15 +263,41 @@ def test_ledger_post_payload_bytes_round_trip(tmp_path, capsys, consent_env):
     assert verify_chain(chain).valid
 
 
-@pytest.mark.parametrize("author", ["zz", "ab" * 31, "ab" * 33], ids=["non-hex", "short", "long"])
+@pytest.mark.parametrize(
+    "author", ["zz", "ab" * 31, "ab" * 33, None], ids=["non-hex", "short", "long", "missing"]
+)
 @pytest.mark.parametrize("action", ["balance", "export"])
 def test_ledger_bad_author_is_usage_error(tmp_path, capsys, consent_env, action, author):
     ledger, _ = consent_env
     extra = ["--out", str(tmp_path / "profile.json")] if action == "export" else []
+    if author is not None:
+        extra += ["--author", author]
     with pytest.raises(SystemExit) as exc:
-        main(["ledger", action, str(ledger), "--author", author, *extra])
+        main(["ledger", action, str(ledger), *extra])
     assert exc.value.code == 2
-    assert "--author must be 32 bytes in hex" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith(f"usage: echofeed ledger {action} ")
+    if author is None:
+        assert "provide either --author or both --user and --keys" in err
+    else:
+        assert "--author must be 32 bytes in hex" in err
+
+
+@pytest.mark.parametrize("action", ["append", "balance", "export"])
+def test_ledger_domain_errors_are_unquoted(tmp_path, capsys, action):
+    ledger, keys = tmp_path / "chain.jsonl", tmp_path / "keys.json"
+    code, _, _ = run(capsys, "ledger", "init", "--out", ledger, "--keys", keys, "--users", 2)
+    assert code == 0
+    unknown = "ab" * 32
+    args, message = {
+        "append": (["--keys", keys, "--user", 7], "user 7 not present in the keystore"),
+        "balance": (["--keys", keys, "--user", 7], "user 7 not present in the keystore"),
+        "export": (["--author", unknown, "--out", tmp_path / "profile.json"],
+                   f"no blocks authored by {unknown}"),
+    }[action]
+    code, _, err = run(capsys, "ledger", action, ledger, *args)
+    assert code == 1
+    assert err == f"error: {message}\n"
 
 
 def test_ledger_export_import_round_trip(tmp_path, capsys, consent_env):

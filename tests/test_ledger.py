@@ -22,11 +22,13 @@ from echofeed.ledger import (
     ZERO_HASH,
     Keypair,
     Ledger,
+    LedgerBlock,
     PayloadType,
-    account_state,
+    UserAccount,
+    _check_block,
+    accounts,
     append_event,
-    balance,
-    consent_state,
+    block_hash,
     consented_ratings,
     credit_tokens,
     export_profile,
@@ -37,6 +39,7 @@ from echofeed.ledger import (
     save_ledger,
     save_profile,
     set_consent,
+    signing_bytes,
     verify_chain,
 )
 from echofeed.ratings import from_triplets
@@ -56,6 +59,10 @@ def flip_bit(data: bytes, bit: int) -> bytes:
     out = bytearray(data)
     out[bit // 8] ^= 1 << (bit % 8)
     return bytes(out)
+
+
+def account_of(led: Ledger, public_key: bytes) -> UserAccount:
+    return accounts(led.blocks, [public_key])[public_key]
 
 
 def sample_ledger():
@@ -140,24 +147,34 @@ def test_consent_default_false():
     led = new_ledger()
     kp = keypair(3)
     append_event(led, kp, PayloadType.POST, b"first", 1)
-    assert consent_state(led, kp.public_key) is False
+    assert account_of(led, kp.public_key).consent is False
 
 
 def test_consent_latest_wins():
     led = new_ledger()
     kp = keypair(3)
     set_consent(led, kp, True, 1)
-    assert consent_state(led, kp.public_key) is True
+    assert account_of(led, kp.public_key).consent is True
     set_consent(led, kp, False, 2)
-    assert consent_state(led, kp.public_key) is False
+    assert account_of(led, kp.public_key).consent is False
     set_consent(led, kp, True, 3)
-    assert consent_state(led, kp.public_key) is True
+    assert account_of(led, kp.public_key).consent is True
 
 
 def test_unknown_user_defaults():
     led = new_ledger()
-    assert consent_state(led, keypair(9).public_key) is False
-    assert balance(led, keypair(9).public_key) == 0
+    key = keypair(9).public_key
+    assert account_of(led, key) == UserAccount(key, consent=False, token_balance=0)
+
+
+def test_replay_gives_genesis_author_nothing():
+    # blocks by the all-zero key after genesis fail verification, and a
+    # replay of an unverified chain does not count them either
+    led = new_ledger()
+    set_consent(led, keypair(1), True, 1)
+    credit_tokens(led, keypair(1), 5, 2)
+    blocks = [led[0]] + [rehashed(b, author=GENESIS_AUTHOR) for b in led.blocks[1:]]
+    assert account_of(Ledger(blocks), GENESIS_AUTHOR) == UserAccount(GENESIS_AUTHOR, False, 0)
 
 
 # --- balances ---
@@ -168,7 +185,7 @@ def test_balance_accumulates():
     kp = keypair(4)
     credit_tokens(led, kp, 5, 1)
     credit_tokens(led, kp, 3, 2)
-    assert balance(led, kp.public_key) == 8
+    assert account_of(led, kp.public_key).token_balance == 8
 
 
 def test_random_events_replay_and_conserve():
@@ -194,10 +211,9 @@ def test_random_events_replay_and_conserve():
             tracked[kp.public_key][1] += amt
             minted += amt
     assert verify_chain(led).valid
-    for kp in users:
-        assert consent_state(led, kp.public_key) == tracked[kp.public_key][0]
-        assert balance(led, kp.public_key) == tracked[kp.public_key][1]
-    assert sum(balance(led, kp.public_key) for kp in users) == minted
+    state = accounts(led.blocks, tracked)
+    assert state == {key: UserAccount(key, *entry) for key, entry in tracked.items()}
+    assert sum(account.token_balance for account in state.values()) == minted
 
 
 def test_account_state_view():
@@ -205,10 +221,8 @@ def test_account_state_view():
     kp = keypair(5)
     set_consent(led, kp, True, 1)
     credit_tokens(led, kp, 11, 2)
-    account = account_state(led, kp.public_key, user_index=5)
-    assert account.consent is True
-    assert account.token_balance == 11
-    assert account.user_index == 5
+    account = account_of(led, kp.public_key)
+    assert account == UserAccount(kp.public_key, consent=True, token_balance=11)
 
 
 # --- verification ---
@@ -246,8 +260,6 @@ def test_genesis_signature_is_pinned():
 
 
 def test_zero_author_rejected_after_genesis():
-    from echofeed.ledger import block_hash, signing_bytes
-
     led, _, _ = sample_ledger()
     block = led[1]
     canonical = signing_bytes(
@@ -284,8 +296,6 @@ def test_swapped_blocks_detected():
 
 def test_bad_index_reason_reachable():
     # rebuild a block with a wrong index but matching hash over its fields
-    from echofeed.ledger import block_hash, signing_bytes
-
     led = new_ledger(timestamp=0)
     kp = keypair(1)
     append_event(led, kp, PayloadType.POST, b"a", 1)
@@ -298,6 +308,31 @@ def test_bad_index_reason_reachable():
     assert (report.valid, report.bad_index, report.reason) == (False, 1, BAD_INDEX)
 
 
+def rehashed(block: LedgerBlock, **changes) -> LedgerBlock:
+    """The block with `changes` and the hash of its new fields. The
+    signature is kept, so it no longer matches."""
+    block = dataclasses.replace(block, **changes)
+    canonical = signing_bytes(
+        block.index, block.prev_hash, block.timestamp, block.author,
+        block.payload_type, block.payload,
+    )
+    return dataclasses.replace(block, hash=block_hash(canonical))
+
+
+@pytest.mark.parametrize(
+    "changes, reason",
+    [({"prev_hash": b"\x01" * 32}, BROKEN_LINK), ({"index": 7}, BAD_INDEX)],
+    ids=["link", "index"],
+)
+def test_link_and_index_are_reported_before_signature(changes, reason):
+    led, _, _ = sample_ledger()
+    blocks = list(led.blocks)
+    blocks[2] = rehashed(blocks[2], **changes)
+    assert _check_block(blocks[2]) == BAD_SIGNATURE
+    report = verify_chain(Ledger(blocks))
+    assert (report.valid, report.bad_index, report.reason) == (False, 2, reason)
+
+
 def test_operations_never_rewrite_history():
     led = new_ledger()
     kp = keypair(6)
@@ -307,7 +342,7 @@ def test_operations_never_rewrite_history():
         lambda: set_consent(led, kp, True, 2),
         lambda: credit_tokens(led, kp, 4, 3),
         lambda: verify_chain(led),
-        lambda: balance(led, kp.public_key),
+        lambda: account_of(led, kp.public_key).token_balance,
     ):
         before = tuple(b.hash for b in led.blocks)
         assert before == snapshots[-1]
@@ -377,8 +412,8 @@ def test_export_import_round_trip():
     credit_tokens(led, alice, 12, 2000)
     profile = export_profile(led, alice.public_key)
     account = import_profile(profile)
-    assert account.consent == consent_state(led, alice.public_key)
-    assert account.token_balance == balance(led, alice.public_key) == 12
+    assert account == account_of(led, alice.public_key)
+    assert account.token_balance == 12
     assert len(profile.blocks) == 3
 
 
@@ -413,9 +448,8 @@ def test_import_rejects_reordered_blocks():
     credit_tokens(led, alice, 1, 2000)
     profile = export_profile(led, alice.public_key)
     blocks = tuple(reversed(profile.blocks))
-    proof = tuple(reversed(profile.chain_proof))
     with pytest.raises(VerificationFailureError):
-        import_profile(dataclasses.replace(profile, blocks=blocks, chain_proof=proof))
+        import_profile(dataclasses.replace(profile, blocks=blocks))
 
 
 def test_import_rejects_foreign_block():
@@ -423,16 +457,24 @@ def test_import_rejects_foreign_block():
     profile = export_profile(led, alice.public_key)
     foreign = export_profile(led, bob.public_key).blocks[0]
     blocks = profile.blocks + (foreign,)
-    proof = profile.chain_proof + (foreign.hash,)
     with pytest.raises(VerificationFailureError):
-        import_profile(dataclasses.replace(profile, blocks=blocks, chain_proof=proof))
+        import_profile(dataclasses.replace(profile, blocks=blocks))
+
+
+def test_import_refuses_genesis_key_profile():
+    # the genesis block is valid on the chain, but the genesis key signs
+    # nothing, so a profile under it carries no proof
+    led, _, _ = sample_ledger()
+    profile = export_profile(led, GENESIS_AUTHOR)
+    with pytest.raises(VerificationFailureError, match="^block 0: bad signature$"):
+        import_profile(profile)
 
 
 def test_import_rejects_empty_profile():
     led, alice, _ = sample_ledger()
     profile = export_profile(led, alice.public_key)
     with pytest.raises(VerificationFailureError):
-        import_profile(dataclasses.replace(profile, blocks=(), chain_proof=()))
+        import_profile(dataclasses.replace(profile, blocks=()))
 
 
 # --- file formats ---
@@ -474,6 +516,21 @@ def test_profile_file_round_trip(tmp_path):
     assert back.blocks == profile.blocks
     assert back.public_key == profile.public_key
     assert import_profile(back).consent is True
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "{not json",
+        '{"public_key_hex": "00", "blocks": ' + "[" * 100_000 + "]" * 100_000 + "}",
+    ],
+    ids=["not-json", "deep-nesting"],
+)
+def test_load_profile_rejects_garbage(tmp_path, text):
+    path = tmp_path / "profile.json"
+    path.write_text(text)
+    with pytest.raises(ParseError):
+        load_profile(path)
 
 
 def _block_doc_with(**changes) -> str:

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echofeed.cli
+import echofeed.ledger
 import echofeed.model
 from echofeed.cli import main
 from echofeed.ledger import (
@@ -18,9 +19,11 @@ from echofeed.ledger import (
     LedgerBlock,
     PayloadType,
     append_event,
+    export_profile,
     load_ledger,
     new_ledger,
     save_ledger,
+    save_profile,
     verify_chain,
 )
 from echofeed.model import init_model, save_model
@@ -130,6 +133,16 @@ def _keystore_midway(tmp_path, monkeypatch):
                                "--keys", str(path), "--users", "3", "--key-seed", "1"])
 
 
+def _save_profile_midway(tmp_path, monkeypatch):
+    path = tmp_path / "profile.json"
+    led = _ledger(3)
+    author = led[1].author
+    save_profile(export_profile(_ledger(1), author), path)
+    monkeypatch.setattr(echofeed.ledger, "json",
+                        types.SimpleNamespace(dumps=_failing_after(0, None)))
+    return path, lambda: save_profile(export_profile(led, author), path)
+
+
 def _report_midway(tmp_path, monkeypatch):
     path, csv = tmp_path / "report.json", tmp_path / "ratings.csv"
     csv.write_text("0,0,1\n1,1,2\n")
@@ -140,8 +153,10 @@ def _report_midway(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "setup", [_save_ledger_midway, _save_model_midway, _keystore_midway, _report_midway],
-    ids=["save_ledger", "save_model", "keystore", "report"],
+    "setup",
+    [_save_ledger_midway, _save_model_midway, _save_profile_midway, _keystore_midway,
+     _report_midway],
+    ids=["save_ledger", "save_model", "save_profile", "keystore", "report"],
 )
 def test_failed_write_leaves_old_file(tmp_path, monkeypatch, capsys, setup):
     path, write = setup(tmp_path, monkeypatch)

@@ -231,9 +231,14 @@ def test_model_json_round_trip_exact(tmp_path):
     assert np.array_equal(back.event_factors, model.event_factors)
 
 
-def test_load_model_rejects_garbage(tmp_path):
+@pytest.mark.parametrize(
+    "text",
+    ["{not json", '{"k": ' + "[" * 100_000 + "]" * 100_000 + "}"],
+    ids=["not-json", "deep-nesting"],
+)
+def test_load_model_rejects_garbage(tmp_path, text):
     p = tmp_path / "bad.json"
-    p.write_text("{not json")
+    p.write_text(text)
     with pytest.raises(ParseError):
         load_model(p)
 
