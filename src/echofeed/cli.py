@@ -20,7 +20,13 @@ from pathlib import Path
 from . import ledger as led
 from ._atomic import atomic_write
 from ._ed25519 import PUBLIC_KEY_SIZE
-from .errors import EchoFeedError, ParseError, SigningFailureError, UnregisteredUserError
+from .errors import (
+    EchoFeedError,
+    InvalidParameterError,
+    ParseError,
+    SigningFailureError,
+    UnregisteredUserError,
+)
 from .model import init_model, load_model, save_model
 from .ratings import load_csv, split_holdout, write_csv
 from .simulate import (
@@ -98,6 +104,9 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
+    config = _train_config(args)
+    if args.reward < 0:
+        raise InvalidParameterError(f"--reward must be >= 0, got {args.reward}")
     matrix = load_csv(args.matrix)
     ledger_obj = None
     keystore = None
@@ -110,7 +119,7 @@ def cmd_train(args) -> int:
     model = init_model(
         matrix.n_users, matrix.n_events, args.k, args.gamma, args.seed, args.scale
     )
-    trained, report = train(model, train_m, _train_config(args))
+    trained, report = train(model, train_m, config)
     save_model(trained, args.out)
     if args.report:
         with atomic_write(args.report) as fh:
@@ -144,17 +153,20 @@ def cmd_recommend(args) -> int:
     doc = {"user": recs.user, "events": list(recs.events), "scores": list(recs.scores)}
     text = json.dumps(doc)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with atomic_write(args.out) as fh:
+            fh.write(text + "\n")
     print(text)
     return 0
 
 
 def cmd_simulate(args) -> int:
+    config = _train_config(args)
+    if args.rounds < 0:
+        raise InvalidParameterError(f"--rounds must be >= 0, got {args.rounds}")
     matrix, labels = synth_community_matrix(
         args.users, args.events, args.communities, args.in_rate, args.cross_rate, args.seed
     )
     train_m, test_m = split_holdout(matrix, args.holdout, args.seed)
-    config = _train_config(args)
     rows = []
     model = None
     for rnd in range(args.rounds + 1):
@@ -176,14 +188,16 @@ def cmd_simulate(args) -> int:
                 "rmse_holdout": rmse(model, test_m) if len(test_m) else None,
             }
         )
-    Path(args.out).write_text(json.dumps(rows, indent=2) + "\n", encoding="utf-8")
+    with atomic_write(args.out) as fh:
+        fh.write(json.dumps(rows, indent=2) + "\n")
     if args.csv:
         lines = [",".join(METRIC_COLUMNS)]
         for row in rows:
             lines.append(
                 ",".join("" if row[c] is None else repr(row[c]) for c in METRIC_COLUMNS)
             )
-        Path(args.csv).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with atomic_write(args.csv) as fh:
+            fh.write("\n".join(lines) + "\n")
     print(f"wrote {len(rows)} rounds to {args.out}")
     return 0
 

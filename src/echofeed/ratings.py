@@ -20,6 +20,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from ._atomic import atomic_write
 from .errors import (
     DuplicateEntryError,
     EmptyInputError,
@@ -269,13 +270,15 @@ def _dimensions(path, header_dims, users, events) -> tuple[int, int]:
 
 
 def write_csv(matrix: RatingMatrix, path: str | Path) -> None:
-    """Write the matrix in the format load_csv reads, dimensions included."""
+    """Write the matrix in the format load_csv reads, dimensions included,
+    replacing the file atomically."""
     lines = [f"# users={matrix.n_users} events={matrix.n_events}"]
     lines.extend(
         f"{u},{e},{v!r}"
         for u, e, v in zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist())
     )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with atomic_write(path) as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def _subset(matrix: RatingMatrix, mask: np.ndarray) -> RatingMatrix:

@@ -7,6 +7,12 @@ reported metric. The conventional factor 2 from differentiating the squared
 error is absorbed into the learning rate, so a step moves along
 (e * other_row - gamma * own_row). gradient_at, used for testing, returns
 the unhalved analytic gradient of the objective itself.
+
+The step runs on Python lists of floats rather than numpy rows: at the
+small k this model uses, numpy's per-call overhead is most of a step. Its
+dot product is summed left to right in an explicit loop, so trained factors
+do not depend on BLAS, numpy or the Python version (builtin sum() became
+compensated in Python 3.12).
 """
 
 from __future__ import annotations
@@ -61,14 +67,24 @@ class TrainReport:
 
 
 def _apply_step(uf, ef, u, i, r, lr, gamma):
-    """One simultaneous update of rows uf[u] and ef[i]; returns them."""
+    """One simultaneous update of rows uf[u] and ef[i], lists of floats; returns them."""
     x = uf[u]
     y = ef[i]
-    e = r - float(x @ y)
-    nx = x + lr * (e * y - gamma * x)
-    ny = y + lr * (e * x - gamma * y)  # x is the pre-update row on purpose
-    # inf + -inf inside sum() yields nan, so this catches both poisons
-    if not (math.isfinite(nx.sum()) and math.isfinite(ny.sum())):
+    dot = 0.0
+    for a, b in zip(x, y):
+        dot += a * b
+    e = r - dot
+    # every new entry is computed from the pre-update x and y on purpose
+    nx = [a + lr * (e * b - gamma * a) for a, b in zip(x, y)]
+    ny = [b + lr * (e * a - gamma * b) for a, b in zip(x, y)]
+    # inf + -inf in these sums yields nan, so this catches both poisons
+    sx = 0.0
+    for v in nx:
+        sx += v
+    sy = 0.0
+    for v in ny:
+        sy += v
+    if not (math.isfinite(sx) and math.isfinite(sy)):
         raise NonFiniteUpdateError(f"non-finite factor update for user {u}, event {i}")
     uf[u] = nx
     ef[i] = ny
@@ -81,21 +97,22 @@ def sgd_step(model: FactorModel, rating: Rating, learning_rate: float) -> Factor
     Returns the same model object with rows `rating.user` and
     `rating.event` updated; all other rows are untouched.
     """
-    if not 0 <= rating.user < model.n_users:
-        raise IndexOutOfRangeError(f"user index {rating.user} outside [0, {model.n_users})")
-    if not 0 <= rating.event < model.n_events:
-        raise IndexOutOfRangeError(f"event index {rating.event} outside [0, {model.n_events})")
-    # overflow is reported through NonFiniteUpdateError, not warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        _apply_step(
-            model.user_factors,
-            model.event_factors,
-            rating.user,
-            rating.event,
-            rating.value,
-            learning_rate,
-            model.gamma,
-        )
+    u, i = rating.user, rating.event
+    if not 0 <= u < model.n_users:
+        raise IndexOutOfRangeError(f"user index {u} outside [0, {model.n_users})")
+    if not 0 <= i < model.n_events:
+        raise IndexOutOfRangeError(f"event index {i} outside [0, {model.n_events})")
+    nx, ny = _apply_step(
+        {u: model.user_factors[u].tolist()},
+        {i: model.event_factors[i].tolist()},
+        u,
+        i,
+        float(rating.value),
+        float(learning_rate),
+        float(model.gamma),
+    )
+    model.user_factors[u] = nx
+    model.event_factors[i] = ny
     return model
 
 
@@ -132,10 +149,12 @@ def train(
     if not len(matrix):
         raise EmptyMatrixError("cannot train on a matrix with no observations")
     work = model.copy()
-    uf = work.user_factors
-    ef = work.event_factors
-    lr = config.learning_rate
-    gamma = work.gamma
+    # tolist() and np.array() are exact, so only the step's arithmetic counts;
+    # numpy scalars in the step would be slower and warn on overflow
+    uf = work.user_factors.tolist()
+    ef = work.event_factors.tolist()
+    lr = float(config.learning_rate)
+    gamma = float(work.gamma)
     obs_users = matrix.users.tolist()
     obs_events = matrix.events.tolist()
     obs_values = matrix.values.tolist()
@@ -146,15 +165,15 @@ def train(
     for epoch in range(1, config.epochs + 1):
         if config.shuffle:
             rng.shuffle(order)
-        # overflow is reported through NonFiniteUpdateError, not warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for step, t in enumerate(order):
-                try:
-                    _apply_step(uf, ef, obs_users[t], obs_events[t], obs_values[t], lr, gamma)
-                except NonFiniteUpdateError as exc:
-                    raise NonFiniteUpdateError(
-                        f"{exc} (epoch {epoch}, step {step})", epoch=epoch, step=step
-                    ) from exc
+        for step, t in enumerate(order):
+            try:
+                _apply_step(uf, ef, obs_users[t], obs_events[t], obs_values[t], lr, gamma)
+            except NonFiniteUpdateError as exc:
+                raise NonFiniteUpdateError(
+                    f"{exc} (epoch {epoch}, step {step})", epoch=epoch, step=step
+                ) from exc
+        work.user_factors = np.array(uf, dtype=np.float64)
+        work.event_factors = np.array(ef, dtype=np.float64)
         loss = objective(work, matrix)
         report.loss_history.append(loss)
         report.epochs_run = epoch

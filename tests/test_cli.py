@@ -210,6 +210,27 @@ def test_simulate_deterministic_and_csv(tmp_path, capsys):
     assert len(rows) == 3
 
 
+def test_simulate_negative_rounds_rejected_before_work(tmp_path, capsys):
+    out, csv_out = tmp_path / "metrics.json", tmp_path / "metrics.csv"
+    code, _, err = run(capsys, "simulate", "--rounds", -1, "--out", out, "--csv", csv_out)
+    assert code == 1
+    assert err == "error: --rounds must be >= 0, got -1\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_train_negative_reward_rejected_before_work(tmp_path, capsys, matrix_csv, consent_env):
+    ledger, keys = consent_env
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    code, _, err = run(
+        capsys, "train", matrix_csv, "--out", tmp_path / "m.json", "--report",
+        tmp_path / "r.json", "--ledger", ledger, "--keys", keys, "--reward", -3,
+        "--timestamp", 300,
+    )
+    assert code == 1
+    assert err == "error: --reward must be >= 0, got -3\n"
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
 # --- ledger subcommands ---
 
 

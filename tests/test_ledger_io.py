@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import echofeed._atomic
 import echofeed.cli
 import echofeed.ledger
 import echofeed.model
@@ -152,11 +153,56 @@ def _report_midway(tmp_path, monkeypatch):
     return path, lambda: main([*train, "--epochs", "3"])
 
 
+def _writes_fail_after(n, monkeypatch):
+    """The first n writes through atomic_write, counted over all its handles,
+    succeed; the next one raises, as on a full disk."""
+    write = _failing_after(n, lambda fh, text: fh.write(text))
+
+    @contextlib.contextmanager
+    def failing_open(*args, **kwargs):
+        with open(*args, **kwargs) as fh:
+            yield types.SimpleNamespace(write=lambda text: write(fh, text))
+
+    monkeypatch.setattr(echofeed._atomic, "open", failing_open, raising=False)
+
+
+def _ingest_midway(tmp_path, monkeypatch):
+    path, raw = tmp_path / "canonical.csv", tmp_path / "raw.csv"
+    raw.write_text("0,0,1\n1,1,2\n")
+    assert quiet_main("ingest", raw, "--out", path) == 0
+    raw.write_text("0,0,3\n2,2,4\n")
+    _writes_fail_after(0, monkeypatch)
+    return path, lambda: main(["ingest", str(raw), "--out", str(path)])
+
+
+def _recommend_midway(tmp_path, monkeypatch):
+    path, csv, model = tmp_path / "recs.json", tmp_path / "ratings.csv", tmp_path / "model.json"
+    csv.write_text("0,0,1\n1,1,2\n0,2,3\n")
+    assert quiet_main("train", csv, "--out", model, "--epochs", 2) == 0
+    assert quiet_main("recommend", model, csv, "--user", 0, "--out", path) == 0
+    _writes_fail_after(0, monkeypatch)
+    return path, lambda: main(["recommend", str(model), str(csv), "--user", "1", "--out", str(path)])
+
+
+def _simulate_midway(target):
+    """simulate writes its JSON, then its CSV; fail the write of `target`."""
+    def setup(tmp_path, monkeypatch):
+        paths = {"out": tmp_path / "metrics.json", "csv": tmp_path / "metrics.csv"}
+        sim = ["simulate", "--users", "8", "--events", "8", "--epochs", "2",
+               "--out", str(paths["out"]), "--csv", str(paths["csv"])]
+        assert quiet_main(*sim, "--rounds", 0) == 0
+        _writes_fail_after(list(paths).index(target), monkeypatch)
+        return paths[target], lambda: main([*sim, "--rounds", "1"])
+    return setup
+
+
 @pytest.mark.parametrize(
     "setup",
     [_save_ledger_midway, _save_model_midway, _save_profile_midway, _keystore_midway,
-     _report_midway],
-    ids=["save_ledger", "save_model", "save_profile", "keystore", "report"],
+     _report_midway, _ingest_midway, _recommend_midway, _simulate_midway("out"),
+     _simulate_midway("csv")],
+    ids=["save_ledger", "save_model", "save_profile", "keystore", "report", "ingest",
+         "recommend", "simulate_out", "simulate_csv"],
 )
 def test_failed_write_leaves_old_file(tmp_path, monkeypatch, capsys, setup):
     path, write = setup(tmp_path, monkeypatch)

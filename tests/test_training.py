@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from echofeed.errors import (
     EmptyMatrixError,
@@ -324,6 +326,94 @@ def test_train_gamma_shrinks_factors():
         trained, _ = train(reg, matrix, TrainConfig(epochs=50, seed=2))
         penalties.append(l2_penalty(trained))
     assert penalties[1] < penalties[0]
+
+
+# --- the list kernel against references ---
+
+
+def reference_step(uf, ef, u, i, r, lr, gamma):
+    """The SGD update written out entry by entry, its dot product summed
+    left to right."""
+    x, y = uf[u], ef[i]
+    pred = 0.0
+    for j in range(len(x)):
+        pred = pred + x[j] * y[j]
+    e = r - pred
+    uf[u] = [x[j] + lr * (e * y[j] - gamma * x[j]) for j in range(len(x))]
+    ef[i] = [y[j] + lr * (e * x[j] - gamma * y[j]) for j in range(len(y))]
+
+
+def numpy_step(uf, ef, u, i, r, lr, gamma):
+    """The step as it ran on numpy rows, whose dot product numpy orders."""
+    x, y = uf[u], ef[i]
+    e = r - float(x @ y)
+    nx = x + lr * (e * y - gamma * x)
+    ny = y + lr * (e * x - gamma * y)
+    uf[u] = nx
+    ef[i] = ny
+
+
+def replay(model, matrix, config, step, rows):
+    """Apply `step` over config.epochs passes in the order train visits the
+    observations: random.Random(seed).shuffle of the sorted positions."""
+    uf, ef = rows(model.user_factors), rows(model.event_factors)
+    obs = list(zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist()))
+    order = list(range(len(obs)))
+    rng = random.Random(config.seed)
+    for _ in range(config.epochs):
+        if config.shuffle:
+            rng.shuffle(order)
+        for t in order:
+            u, i, r = obs[t]
+            step(uf, ef, u, i, r, config.learning_rate, model.gamma)
+    return np.array(uf, dtype=np.float64), np.array(ef, dtype=np.float64)
+
+
+@st.composite
+def training_cases(draw):
+    k = draw(st.integers(1, 8))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    n_users, n_events = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    cells = draw(
+        st.lists(
+            st.tuples(st.integers(0, n_users - 1), st.integers(0, n_events - 1)),
+            min_size=1,
+            unique=True,
+        )
+    )
+    values = draw(st.lists(st.floats(0.5, 5.0), min_size=len(cells), max_size=len(cells)))
+    matrix = from_triplets([(u, e, v) for (u, e), v in zip(cells, values)], n_users, n_events)
+    model = init_model(n_users, n_events, k, gamma, seed=draw(st.integers(0, 2**32)), scale=1.0)
+    config = TrainConfig(
+        learning_rate=draw(st.floats(0.001, 0.02)),
+        epochs=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    return model, matrix, config
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=training_cases())
+def test_train_matches_left_to_right_oracle(case):
+    # bit for bit: the factors depend on neither BLAS, numpy nor the Python
+    # version's sum()
+    model, matrix, config = case
+    trained, _ = train(model, matrix, config)
+    uf, ef = replay(model, matrix, config, reference_step, lambda a: a.tolist())
+    assert np.array_equal(trained.user_factors, uf)
+    assert np.array_equal(trained.event_factors, ef)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=training_cases())
+def test_train_agrees_with_numpy_step(case):
+    # only the dot product's summation order differs, so the factors agree to
+    # 1e-12 of their largest magnitude
+    model, matrix, config = case
+    trained, _ = train(model, matrix, config)
+    uf, ef = replay(model, matrix, config, numpy_step, np.copy)
+    for got, ref in ((trained.user_factors, uf), (trained.event_factors, ef)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 # --- rmse ---
