@@ -42,7 +42,6 @@ from .model import (
     save_model,
 )
 from .ratings import (
-    Rating,
     RatingMatrix,
     from_triplets,
     load_csv,
@@ -71,7 +70,6 @@ __all__ = [
     "LedgerBlock",
     "PayloadType",
     "PortableProfile",
-    "Rating",
     "RatingMatrix",
     "RecommendationList",
     "TrainConfig",

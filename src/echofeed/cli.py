@@ -30,6 +30,8 @@ from .errors import (
 from .model import init_model, load_model, save_model
 from .ratings import load_csv, split_holdout, write_csv
 from .simulate import (
+    check_engagement,
+    check_k_recs,
     engagement_round,
     fragmentation_index,
     synth_community_matrix,
@@ -163,6 +165,8 @@ def cmd_simulate(args) -> int:
     config = _train_config(args)
     if args.rounds < 0:
         raise InvalidParameterError(f"--rounds must be >= 0, got {args.rounds}")
+    check_k_recs(args.rec_k)
+    check_engagement(args.accept_top, args.accept_value)
     matrix, labels = synth_community_matrix(
         args.users, args.events, args.communities, args.in_rate, args.cross_rate, args.seed
     )

@@ -143,7 +143,7 @@ def load_model(path: str | Path) -> FactorModel:
         gamma = float(doc["gamma"])
         uf = np.array(doc["user_factors"], dtype=np.float64)
         ef = np.array(doc["event_factors"], dtype=np.float64)
-    except (KeyError, TypeError, ValueError, RecursionError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise ParseError(f"{path}: not a valid model file ({exc})") from exc
     if uf.ndim != 2 or ef.ndim != 2 or uf.shape[1] != k or ef.shape[1] != k:
         raise DimensionMismatchError(

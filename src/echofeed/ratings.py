@@ -13,7 +13,6 @@ import math
 import random
 import re
 from dataclasses import dataclass, field
-from functools import cached_property
 from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -32,15 +31,6 @@ from .errors import (
 
 _HEADER_RE = re.compile(r"^#\s*users\s*=\s*(\d+)\s+events\s*=\s*(\d+)\s*$")
 _INT64 = np.iinfo(np.int64)
-
-
-@dataclass(frozen=True)
-class Rating:
-    """One observed engagement: user row, event column, positive strength."""
-
-    user: int
-    event: int
-    value: float
 
 
 @dataclass(frozen=True, eq=False)
@@ -85,16 +75,10 @@ class RatingMatrix:
     def __len__(self) -> int:
         return len(self.values)
 
-    @cached_property
-    def observations(self) -> tuple[Rating, ...]:
-        """The observations as Rating records, in sorted order."""
-        return tuple(
-            map(Rating, self.users.tolist(), self.events.tolist(), self.values.tolist())
-        )
 
-
-def _check_triplet(triplet, n_users, n_events) -> None:
-    """Convert and check one triplet in reporting order, raising on a bad one."""
+def _check_triplet(triplet, n_users, n_events) -> tuple[int, int, float]:
+    """The triplet converted with int() and float(), checked in reporting
+    order: unpacking, conversion, index range, value, int64 fit."""
     user, event, value = triplet
     user = int(user)
     event = int(event)
@@ -105,6 +89,9 @@ def _check_triplet(triplet, n_users, n_events) -> None:
     value = float(value)
     if not math.isfinite(value) or value < 0:
         raise InvalidValueError(f"rating value must be finite and >= 0, got {value}")
+    if not (_INT64.min <= user <= _INT64.max and _INT64.min <= event <= _INT64.max):
+        raise IndexOutOfRangeError(f"index of triplet {triplet} does not fit in int64")
+    return user, event, value
 
 
 def _build(users, events, values, n_users, n_events) -> RatingMatrix:
@@ -135,36 +122,6 @@ def _build(users, events, values, n_users, n_events) -> RatingMatrix:
     return RatingMatrix(n_users, n_events, su[keep], se[keep], sv[keep])
 
 
-def _columns(triplets: Iterable, n_users, n_events):
-    """(users, events, values) arrays, converted triplet by triplet with
-    int() and float().
-
-    A triplet that does not convert, or whose index does not fit in int64,
-    is reported only after the triplets before it are checked, so the
-    first error in input order wins.
-    """
-    users: list[int] = []
-    events: list[int] = []
-    values: list[float] = []
-    for row in triplets:
-        try:
-            user, event, value = row
-            user, event, value = int(user), int(event), float(value)
-            if not (_INT64.min <= user <= _INT64.max and _INT64.min <= event <= _INT64.max):
-                raise IndexOutOfRangeError(f"index of triplet {row} does not fit in int64")
-        except (ValueError, TypeError, OverflowError, IndexOutOfRangeError):
-            _build(
-                np.array(users, np.int64), np.array(events, np.int64),
-                np.array(values, np.float64), n_users, n_events,
-            )
-            _check_triplet(row, n_users, n_events)
-            raise
-        users.append(user)
-        events.append(event)
-        values.append(value)
-    return np.array(users, np.int64), np.array(events, np.int64), np.array(values, np.float64)
-
-
 def from_triplets(
     triplets: Iterable[tuple[int, int, float]], n_users: int, n_events: int
 ) -> RatingMatrix:
@@ -177,44 +134,34 @@ def from_triplets(
     """
     if n_users < 0 or n_events < 0:
         raise InvalidParameterError("matrix dimensions must be non-negative")
-    return _build(*_columns(triplets, n_users, n_events), n_users, n_events)
-
-
-def _parse_lines(lines: list[str]) -> tuple[tuple[int, int] | None, list]:
-    """Line-by-line parse: (header dimensions, triplets).
-
-    Raises ParseError naming the first bad line.
-    """
-    triplets: list[tuple[int, int, float]] = []
-    header_dims: tuple[int, int] | None = None
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            m = _HEADER_RE.match(line)
-            if m:
-                header_dims = (int(m.group(1)), int(m.group(2)))
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"expected 3 comma-separated fields, got {len(fields)}", lineno)
+    users, events, values = [], [], []
+    for row in triplets:
         try:
-            user = int(fields[0])
-            event = int(fields[1])
-            value = float(fields[2])
-        except ValueError as exc:
-            raise ParseError(str(exc), lineno) from exc
-        triplets.append((user, event, value))
-    return header_dims, triplets
+            user, event, value = row
+            user, event, value = int(user), int(event), float(value)
+            if not (_INT64.min <= user <= _INT64.max and _INT64.min <= event <= _INT64.max):
+                raise OverflowError
+        except (ValueError, TypeError, OverflowError):
+            # errors in the triplets before this one are reported first
+            _build(
+                np.array(users, np.int64), np.array(events, np.int64),
+                np.array(values, np.float64), n_users, n_events,
+            )
+            user, event, value = _check_triplet(row, n_users, n_events)
+        users.append(user)
+        events.append(event)
+        values.append(value)
+    return _build(
+        np.array(users, np.int64), np.array(events, np.int64),
+        np.array(values, np.float64), n_users, n_events,
+    )
 
 
-def _parse_bulk(lines: list[str]):
+def _parse_bulk(lines: list[str], index_type=np.int64):
     """Whole-file parse: (header dimensions, users, events, values).
 
-    Converts with int() and float() like the line parser. Raises ValueError
-    or OverflowError on any file the line parser rejects, or whose indices
-    do not fit in int64.
+    Converts with int() and float(). Raises ParseError naming the first
+    malformed data line, else OverflowError if an index overflows index_type.
     """
     stripped = list(map(str.strip, lines))
     data = [s for s in stripped if s and s[0] != "#"]
@@ -223,13 +170,27 @@ def _parse_bulk(lines: list[str]):
         m = _HEADER_RE.match(s)
         if m:
             header_dims = (int(m.group(1)), int(m.group(2)))
-    if set(map(str.count, data, repeat(","))) - {2}:
-        raise ValueError("a data line without exactly 3 fields")
-    fields = ",".join(data).split(",")
     n = len(data)
-    users = np.fromiter(map(int, fields[0::3]), np.int64, n)
-    events = np.fromiter(map(int, fields[1::3]), np.int64, n)
-    values = np.fromiter(map(float, fields[2::3]), np.float64, n)
+    try:
+        if set(map(str.count, data, repeat(","))) - {2}:
+            raise ValueError("a data line without exactly 3 fields")
+        fields = ",".join(data).split(",")
+        users = np.fromiter(map(int, fields[0::3]), index_type, n)
+        events = np.fromiter(map(int, fields[1::3]), index_type, n)
+        values = np.fromiter(map(float, fields[2::3]), np.float64, n)
+    except (ValueError, OverflowError):
+        # the bulk parse cannot name the bad line; this scan runs only on failure
+        for lineno, line in enumerate(stripped, start=1):
+            if not line or line[0] == "#":
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise ParseError(f"expected 3 comma-separated fields, got {len(parts)}", lineno)
+            try:
+                int(parts[0]), int(parts[1]), float(parts[2])
+            except ValueError as exc:
+                raise ParseError(str(exc), lineno) from exc
+        raise
     return header_dims, users, events, values
 
 
@@ -250,13 +211,11 @@ def load_csv(path: str | Path) -> RatingMatrix:
     lines = text.splitlines()
     try:
         header_dims, users, events, values = _parse_bulk(lines)
-    except (ValueError, OverflowError):
-        # the line parser names the first bad line; a file it accepts holds
-        # an index beyond int64, which from_triplets reports
-        header_dims, triplets = _parse_lines(lines)
-        users = [t[0] for t in triplets]
-        events = [t[1] for t in triplets]
-        return from_triplets(triplets, *_dimensions(path, header_dims, users, events))
+    except OverflowError:
+        # an index beyond int64: parse Python ints for from_triplets to report
+        header_dims, users, events, values = _parse_bulk(lines, object)
+        dims = _dimensions(path, header_dims, users, events)
+        return from_triplets(zip(users.tolist(), events.tolist(), values.tolist()), *dims)
     return _build(users, events, values, *_dimensions(path, header_dims, users, events))
 
 

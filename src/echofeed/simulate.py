@@ -38,6 +38,20 @@ class RecommendationList:
     scores: tuple[float, ...]
 
 
+def check_k_recs(k_recs: int) -> None:
+    """Raise InvalidParameterError unless top_k accepts k_recs."""
+    if k_recs < 1:
+        raise InvalidParameterError(f"k_recs must be >= 1, got {k_recs}")
+
+
+def check_engagement(accept_top: int, accept_value: float) -> None:
+    """Raise InvalidParameterError unless engagement_round accepts these."""
+    if accept_top < 1:
+        raise InvalidParameterError(f"accept_top must be >= 1, got {accept_top}")
+    if accept_value <= 0:
+        raise InvalidParameterError(f"accept_value must be > 0, got {accept_value}")
+
+
 def top_k(
     model: FactorModel,
     matrix: RatingMatrix,
@@ -53,8 +67,7 @@ def top_k(
     check_dimensions(model, matrix)
     if not 0 <= u < model.n_users:
         raise IndexOutOfRangeError(f"user index {u} outside [0, {model.n_users})")
-    if k_recs < 1:
-        raise InvalidParameterError(f"k_recs must be >= 1, got {k_recs}")
+    check_k_recs(k_recs)
     scores = _dot(model.event_factors, model.user_factors[u])
     candidates = np.arange(model.n_events)
     if exclude_observed:
@@ -145,10 +158,7 @@ def engagement_round(
     deterministic.
     """
     check_dimensions(model, matrix)
-    if accept_top < 1:
-        raise InvalidParameterError(f"accept_top must be >= 1, got {accept_top}")
-    if accept_value <= 0:
-        raise InvalidParameterError(f"accept_value must be > 0, got {accept_value}")
+    check_engagement(accept_top, accept_value)
     new_users: list[int] = []
     new_events: list[int] = []
     for u in range(matrix.n_users):

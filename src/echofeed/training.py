@@ -30,7 +30,7 @@ from .errors import (
     NonFiniteUpdateError,
 )
 from .model import FactorModel, _dot, check_dimensions, objective
-from .ratings import Rating, RatingMatrix
+from .ratings import RatingMatrix
 
 
 @dataclass(frozen=True)
@@ -91,13 +91,12 @@ def _apply_step(uf, ef, u, i, r, lr, gamma):
     return nx, ny
 
 
-def sgd_step(model: FactorModel, rating: Rating, learning_rate: float) -> FactorModel:
-    """Apply one SGD update for a single observation, in place.
+def sgd_step(model: FactorModel, u: int, i: int, value: float, learning_rate: float) -> FactorModel:
+    """Apply one SGD update for the observation (u, i, value), in place.
 
-    Returns the same model object with rows `rating.user` and
-    `rating.event` updated; all other rows are untouched.
+    Returns the same model object with rows u and i updated; all other
+    rows are untouched.
     """
-    u, i = rating.user, rating.event
     if not 0 <= u < model.n_users:
         raise IndexOutOfRangeError(f"user index {u} outside [0, {model.n_users})")
     if not 0 <= i < model.n_events:
@@ -107,7 +106,7 @@ def sgd_step(model: FactorModel, rating: Rating, learning_rate: float) -> Factor
         {i: model.event_factors[i].tolist()},
         u,
         i,
-        float(rating.value),
+        float(value),
         float(learning_rate),
         float(model.gamma),
     )

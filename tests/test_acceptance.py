@@ -364,7 +364,11 @@ def test_criterion_7_consent_gating_bit_identical():
 
     gated = consented_ratings(led, matrix, registry)
     by_hand = from_triplets(
-        [(o.user, o.event, o.value) for o in matrix.observations if o.user not in (2, 7)],
+        [
+            (u, e, v)
+            for u, e, v in zip(matrix.users, matrix.events, matrix.values)
+            if u not in (2, 7)
+        ],
         10,
         8,
     )

@@ -218,6 +218,30 @@ def test_simulate_negative_rounds_rejected_before_work(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--accept-top", 0], "accept_top must be >= 1, got 0"),
+        (["--accept-top", 0, "--rounds", 0], "accept_top must be >= 1, got 0"),
+        (["--accept-value", 0], "accept_value must be > 0, got 0.0"),
+        (["--rec-k", 0], "k_recs must be >= 1, got 0"),
+    ],
+    ids=["accept-top", "accept-top-no-rounds", "accept-value", "rec-k"],
+)
+def test_simulate_bad_round_flags_rejected_before_work(
+    tmp_path, capsys, monkeypatch, flags, message
+):
+    def no_train(*args, **kwargs):
+        raise AssertionError("train ran before the flags were checked")
+
+    monkeypatch.setattr("echofeed.cli.train", no_train)
+    out = tmp_path / "metrics.json"
+    code, _, err = run(capsys, "simulate", *flags, "--out", out)
+    assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_train_negative_reward_rejected_before_work(tmp_path, capsys, matrix_csv, consent_env):
     ledger, keys = consent_env
     before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())

@@ -392,8 +392,10 @@ def test_consented_filters_revoked_users():
     set_consent(led, users[2], False, 50)
     set_consent(led, users[7], False, 51)
     gated = consented_ratings(led, matrix, registry)
-    expected = tuple(o for o in matrix.observations if o.user not in (2, 7))
-    assert gated.observations == expected
+    rows = zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist())
+    expected = [row for row in rows if row[0] not in (2, 7)]
+    gated_rows = zip(gated.users.tolist(), gated.events.tolist(), gated.values.tolist())
+    assert list(gated_rows) == expected
     assert (gated.n_users, gated.n_events) == (matrix.n_users, matrix.n_events)
 
 

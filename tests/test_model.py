@@ -233,8 +233,8 @@ def test_model_json_round_trip_exact(tmp_path):
 
 @pytest.mark.parametrize(
     "text",
-    ["{not json", '{"k": ' + "[" * 100_000 + "]" * 100_000 + "}"],
-    ids=["not-json", "deep-nesting"],
+    ["{not json", '{"k": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"k": 1e400}'],
+    ids=["not-json", "deep-nesting", "k-infinite"],
 )
 def test_load_model_rejects_garbage(tmp_path, text):
     p = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -11,12 +12,16 @@ from echofeed.errors import (
     ParseError,
 )
 from echofeed.ratings import (
-    Rating,
     from_triplets,
     load_csv,
     split_holdout,
     write_csv,
 )
+
+
+def rows_of(m):
+    """The matrix's (user, event, value) rows, read from its columns in order."""
+    return list(zip(m.users.tolist(), m.events.tolist(), m.values.tolist()))
 
 
 def random_matrix(rng, n_users=6, n_events=8, density=0.4):
@@ -39,12 +44,12 @@ def test_empty_matrix_is_valid():
 def test_two_engagements_stored_exactly():
     # one user engaging with the last two of four events
     m = from_triplets([(0, 2, 4.0), (0, 3, 2.0)], 1, 4)
-    assert m.observations == (Rating(0, 2, 4.0), Rating(0, 3, 2.0))
+    assert rows_of(m) == [(0, 2, 4.0), (0, 3, 2.0)]
 
 
 def test_zero_value_means_unobserved():
     m = from_triplets([(0, 0, 0.0), (0, 1, 5.0)], 1, 2)
-    assert m.observations == (Rating(0, 1, 5.0),)
+    assert rows_of(m) == [(0, 1, 5.0)]
 
 
 def test_order_insensitive():
@@ -90,7 +95,7 @@ def test_load_csv_basic(tmp_path):
     p.write_text("0,0,4\n1,1,2\n")
     m = load_csv(p)
     assert (m.n_users, m.n_events) == (2, 2)
-    assert m.observations == (Rating(0, 0, 4.0), Rating(1, 1, 2.0))
+    assert rows_of(m) == [(0, 0, 4.0), (1, 1, 2.0)]
 
 
 def test_load_csv_empty_file(tmp_path):
@@ -134,7 +139,7 @@ def test_load_csv_comments_and_blanks_skipped(tmp_path):
     p = tmp_path / "m.csv"
     p.write_text("# a comment\n\n0,1,2.5\n")
     m = load_csv(p)
-    assert m.observations == (Rating(0, 1, 2.5),)
+    assert rows_of(m) == [(0, 1, 2.5)]
 
 
 def test_csv_round_trip(tmp_path):
@@ -179,10 +184,10 @@ def test_split_sizes_and_disjointness():
     assert len(m) == 100
     train, test = split_holdout(m, 0.3, seed=0)
     assert len(test) == 30 and len(train) == 70
-    train_set = set(train.observations)
-    test_set = set(test.observations)
+    train_set = set(rows_of(train))
+    test_set = set(rows_of(test))
     assert train_set & test_set == set()
-    assert train_set | test_set == set(m.observations)
+    assert train_set | test_set == set(rows_of(m))
 
 
 def test_split_partitions_exhaustively():
@@ -192,8 +197,8 @@ def test_split_partitions_exhaustively():
         m = random_matrix(rng, n_users=rng.randint(1, 10), n_events=rng.randint(1, 10))
         fraction = rng.choice([0.0, 0.1, 0.5, 0.9])
         train, test = split_holdout(m, fraction, seed=trial)
-        assert set(train.observations) | set(test.observations) == set(m.observations)
-        assert set(train.observations) & set(test.observations) == set()
+        assert set(rows_of(train)) | set(rows_of(test)) == set(rows_of(m))
+        assert set(rows_of(train)) & set(rows_of(test)) == set()
         assert len(test) == round(fraction * len(m))
 
 
@@ -203,3 +208,54 @@ def test_split_rejects_bad_fraction():
         split_holdout(m, 1.0, seed=0)
     with pytest.raises(InvalidParameterError):
         split_holdout(m, -0.1, seed=0)
+
+
+# --- which error is reported ---
+
+
+@pytest.mark.parametrize(
+    "rows, n_users, error, message",
+    [
+        (
+            [(0, 0, 1.0), (0, 0, 2.0), (0, "x", 1.0)], 2, DuplicateEntryError,
+            "duplicate entry for user 0, event 0: 1.0 vs 2.0",
+        ),
+        ([(0, 5, 1.0), (0, "x", 1.0)], 2, IndexOutOfRangeError, "event index 5 outside [0, 2)"),
+        ([(5, 1, "x")], 2, IndexOutOfRangeError, "user index 5 outside [0, 2)"),
+        (
+            [(2**70, 0, math.nan)], 2**71, InvalidValueError,
+            "rating value must be finite and >= 0, got nan",
+        ),
+        (
+            [(2**70, 0, 1.0), (0, 0, 1.0), (0, 0, 2.0)], 2**71, IndexOutOfRangeError,
+            "index of triplet (1180591620717411303424, 0, 1.0) does not fit in int64",
+        ),
+        ([(0, 0, 1.0), (0, 0)], 2, ValueError, "not enough values to unpack (expected 3, got 2)"),
+    ],
+    ids=[
+        "clash-before-unconvertible", "range-before-unconvertible", "range-before-value",
+        "value-before-int64", "int64-before-clash", "unpack-after-valid",
+    ],
+)
+def test_first_error_in_input_order(rows, n_users, error, message):
+    with pytest.raises(error) as exc:
+        from_triplets(rows, n_users, 2)
+    assert type(exc.value) is error
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "text, line, message",
+    [
+        ("0,99999999999999999999,1\n0,0\n", 2, "line 2: expected 3 comma-separated fields, got 2"),
+        ("0,0,1\n0,0,2\n1,x,3\n", 3, "line 3: invalid literal for int() with base 10: 'x'"),
+    ],
+    ids=["field-count-before-int64", "parse-before-clash"],
+)
+def test_load_csv_parse_error_wins(tmp_path, text, line, message):
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    with pytest.raises(ParseError) as exc:
+        load_csv(p)
+    assert exc.value.line == line
+    assert str(exc.value) == message

@@ -118,8 +118,8 @@ def test_top_k_validation():
 
 def test_synth_cross_rate_zero_is_purely_intra():
     matrix, labels = synth_community_matrix(12, 12, 3, 0.7, 0.0, seed=4)
-    for obs in matrix.observations:
-        assert labels.labels[obs.user] == labels.event_labels[obs.event]
+    for u, e in zip(matrix.users.tolist(), matrix.events.tolist()):
+        assert labels.labels[u] == labels.event_labels[e]
 
 
 def test_synth_no_rates_no_observations():
@@ -135,8 +135,8 @@ def test_synth_counts_within_binomial_bounds():
     )
     inter_pairs = 1600 - intra_pairs
     intra = sum(
-        1 for o in matrix.observations
-        if labels.labels[o.user] == labels.event_labels[o.event]
+        1 for u, e in zip(matrix.users.tolist(), matrix.events.tolist())
+        if labels.labels[u] == labels.event_labels[e]
     )
     inter = len(matrix) - intra
     for count, n, p in [(intra, intra_pairs, 0.5), (inter, inter_pairs, 0.05)]:
@@ -147,11 +147,11 @@ def test_synth_counts_within_binomial_bounds():
 
 def test_synth_value_ranges():
     matrix, labels = synth_community_matrix(20, 20, 2, 0.6, 0.2, seed=9)
-    for obs in matrix.observations:
-        if labels.labels[obs.user] == labels.event_labels[obs.event]:
-            assert 3.0 <= obs.value <= 5.0
+    for u, e, v in zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist()):
+        if labels.labels[u] == labels.event_labels[e]:
+            assert 3.0 <= v <= 5.0
         else:
-            assert 1.0 <= obs.value <= 2.0
+            assert 1.0 <= v <= 2.0
 
 
 def test_synth_deterministic():
@@ -265,10 +265,12 @@ def test_engagement_preserves_existing_observations():
     matrix, _ = synth_community_matrix(10, 10, 2, 0.5, 0.1, seed=11)
     model = init_model(10, 10, 2, 0.0, seed=1)
     grown = engagement_round(matrix, model, accept_top=2, accept_value=3.0)
-    assert set(matrix.observations) <= set(grown.observations)
+    before = set(zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist()))
+    after = set(zip(grown.users.tolist(), grown.events.tolist(), grown.values.tolist()))
+    assert before <= after
     assert len(grown) >= len(matrix)
-    for obs in set(grown.observations) - set(matrix.observations):
-        assert obs.value == 3.0
+    for _, _, value in after - before:
+        assert value == 3.0
 
 
 def test_engagement_validation():

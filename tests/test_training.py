@@ -14,7 +14,7 @@ from echofeed.errors import (
 )
 from echofeed.model import FactorModel, init_model, l2_penalty, objective
 from echofeed import training
-from echofeed.ratings import Rating, from_triplets
+from echofeed.ratings import from_triplets
 from echofeed.training import (
     TrainConfig,
     gradient_at,
@@ -74,7 +74,7 @@ def test_config_validation(kwargs):
 def test_step_update_rule_matches_hand_computation():
     # r=4, x=[1], y=[1]: e=3, both rows move to 1 + 0.1*3 = 1.3
     model = manual_model([[1.0]], [[1.0]])
-    sgd_step(model, Rating(0, 0, 4.0), learning_rate=0.1)
+    sgd_step(model, 0, 0, 4.0, learning_rate=0.1)
     assert model.user_factors[0, 0] == pytest.approx(1.3)
     assert model.event_factors[0, 0] == pytest.approx(1.3)
 
@@ -109,14 +109,14 @@ def test_step_zero_learning_rate_is_identity():
     model = manual_model([[1.0, -2.0]], [[0.5, 3.0]], gamma=0.3)
     before_u = model.user_factors.copy()
     before_e = model.event_factors.copy()
-    sgd_step(model, Rating(0, 0, 4.0), learning_rate=0.0)
+    sgd_step(model, 0, 0, 4.0, learning_rate=0.0)
     assert np.array_equal(model.user_factors, before_u)
     assert np.array_equal(model.event_factors, before_e)
 
 
 def test_step_exact_prediction_no_penalty_is_identity():
     model = manual_model([[2.0]], [[2.0]])
-    sgd_step(model, Rating(0, 0, 4.0), learning_rate=0.1)
+    sgd_step(model, 0, 0, 4.0, learning_rate=0.1)
     assert model.user_factors[0, 0] == 2.0
     assert model.event_factors[0, 0] == 2.0
 
@@ -125,7 +125,7 @@ def test_step_only_touches_two_rows():
     model = init_model(4, 5, 2, 0.1, seed=0)
     before_u = model.user_factors.copy()
     before_e = model.event_factors.copy()
-    sgd_step(model, Rating(1, 3, 4.0), learning_rate=0.05)
+    sgd_step(model, 1, 3, 4.0, learning_rate=0.05)
     untouched_u = [i for i in range(4) if i != 1]
     untouched_e = [i for i in range(5) if i != 3]
     assert np.array_equal(model.user_factors[untouched_u], before_u[untouched_u])
@@ -135,13 +135,13 @@ def test_step_only_touches_two_rows():
 def test_step_index_out_of_range():
     model = manual_model([[1.0]], [[1.0]])
     with pytest.raises(IndexOutOfRangeError):
-        sgd_step(model, Rating(1, 0, 4.0), learning_rate=0.1)
+        sgd_step(model, 1, 0, 4.0, learning_rate=0.1)
 
 
 def test_step_detects_non_finite():
     model = manual_model([[1e300]], [[1e300]])
     with pytest.raises(NonFiniteUpdateError):
-        sgd_step(model, Rating(0, 0, 4.0), learning_rate=0.1)
+        sgd_step(model, 0, 0, 4.0, learning_rate=0.1)
 
 
 def test_step_decreases_per_sample_loss():
@@ -150,19 +150,20 @@ def test_step_decreases_per_sample_loss():
     for _ in range(30):
         gamma = rng.choice([0.0, 0.2, 1.0])
         model, matrix = random_setup(rng, gamma)
-        if not matrix.observations:
+        if not len(matrix):
             continue
-        obs = matrix.observations[rng.randrange(len(matrix.observations))]
+        t = rng.randrange(len(matrix))
+        u, i, r = int(matrix.users[t]), int(matrix.events[t]), float(matrix.values[t])
 
         def sample_loss(m):
-            e = obs.value - float(m.user_factors[obs.user] @ m.event_factors[obs.event])
+            e = r - float(m.user_factors[u] @ m.event_factors[i])
             return e * e + gamma * (
-                float(m.user_factors[obs.user] @ m.user_factors[obs.user])
-                + float(m.event_factors[obs.event] @ m.event_factors[obs.event])
+                float(m.user_factors[u] @ m.user_factors[u])
+                + float(m.event_factors[i] @ m.event_factors[i])
             )
 
         before = sample_loss(model)
-        sgd_step(model, obs, learning_rate=1e-3)
+        sgd_step(model, u, i, r, learning_rate=1e-3)
         assert sample_loss(model) <= before + 1e-12
 
 
@@ -259,8 +260,8 @@ def test_train_matches_manual_step_sequence():
     )
     manual = model.copy()
     for _ in range(7):
-        for obs in matrix.observations:
-            sgd_step(manual, obs, learning_rate=0.03)
+        for u, i, r in zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist()):
+            sgd_step(manual, u, i, r, learning_rate=0.03)
     assert np.array_equal(trained.user_factors, manual.user_factors)
     assert np.array_equal(trained.event_factors, manual.event_factors)
 
@@ -280,7 +281,7 @@ def test_train_visits_each_observation_once_per_epoch(monkeypatch):
         visits.clear()
         train(model, matrix, TrainConfig(epochs=4, seed=seed))
         assert len(visits) == 4 * 9
-        expected = {(o.user, o.event): 4 for o in matrix.observations}
+        expected = {(u, i): 4 for u, i in zip(matrix.users.tolist(), matrix.events.tolist())}
         counts = {}
         for key in visits:
             counts[key] = counts.get(key, 0) + 1
@@ -432,13 +433,13 @@ def test_rmse_single_residual():
 def test_rmse_matches_brute_force():
     rng = random.Random(55)
     model, matrix = random_setup(rng, 0.0)
-    if not matrix.observations:
+    if not len(matrix):
         matrix = from_triplets([(0, 0, 1.0)], model.n_users, model.n_events)
     from echofeed.model import predict
 
     total = 0.0
-    for obs in matrix.observations:
-        total += (obs.value - predict(model, obs.user, obs.event)) ** 2
+    for u, i, r in zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist()):
+        total += (r - predict(model, u, i)) ** 2
     assert rmse(model, matrix) == pytest.approx(math.sqrt(total / len(matrix)))
 
 
