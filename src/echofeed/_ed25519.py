@@ -5,12 +5,24 @@ roughly twice as fast as the cryptography package on the machines this was
 measured on, which matters when validating long chains. Ed25519 signatures
 are deterministic (RFC 8032), so both backends produce byte-identical
 output; the fallback keeps the package working without libsodium.
+
+first_invalid checks a batch of signatures. Each check is independent, and
+ctypes releases the interpreter lock for the length of a libsodium call, so
+on libsodium a batch of at least PARALLEL_FLOOR signatures is split into one
+contiguous chunk per CPU this process may run on, and the chunks run at
+once on a lazily started thread pool. The cryptography fallback holds the
+lock while it verifies, so threads only add hand-offs there: it, a short
+batch and a single CPU stay on the calling thread.
 """
 
 from __future__ import annotations
 
 import ctypes
 import ctypes.util
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor
+from typing import Sequence
 
 from cryptography.exceptions import InvalidSignature
 from cryptography.hazmat.primitives.asymmetric.ed25519 import (
@@ -21,6 +33,10 @@ from cryptography.hazmat.primitives.asymmetric.ed25519 import (
 SEED_SIZE = 32
 PUBLIC_KEY_SIZE = 32
 SIGNATURE_SIZE = 64
+
+# below this many signatures a batch is checked on the calling thread: the
+# hand-off to the pool costs more than the checks it would spread
+PARALLEL_FLOOR = 16
 
 
 def _load_sodium():
@@ -80,17 +96,82 @@ def sign(signing_key, message: bytes) -> bytes:
 
 def verify(public_key: bytes, signature: bytes, message: bytes) -> bool:
     """True iff signature is a valid detached signature by public_key."""
+    if _sodium is not None:
+        return _sodium_valid(public_key, signature, message)
     if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
         return False
-    if _sodium is not None:
-        return (
-            _sodium.crypto_sign_ed25519_verify_detached(
-                signature, message, len(message), public_key
-            )
-            == 0
-        )
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
         return True
     except (InvalidSignature, ValueError):
         return False
+
+
+def _sodium_valid(public_key: bytes, signature: bytes, message: bytes) -> bool:
+    # libsodium reads exactly 32 and 64 bytes behind these pointers
+    if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
+        return False
+    return _sodium.crypto_sign_ed25519_verify_detached(
+        signature, message, len(message), public_key) == 0
+
+
+def _sodium_first_invalid(items, start: int, stop: int) -> int | None:
+    for pos in range(start, stop):
+        if not _sodium_valid(*items[pos]):
+            return pos
+    return None
+
+
+def _cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _executor(workers: int) -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _pool = ThreadPoolExecutor(workers, thread_name_prefix="ed25519-verify")
+        return _pool
+
+
+def _forget_pool() -> None:
+    # a forked child inherits the pool object but none of its threads, so
+    # work submitted to it would never run; the lock may have been held
+    global _pool, _pool_lock
+    _pool = None
+    _pool_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_pool)
+
+
+def first_invalid(items: Sequence[tuple[bytes, bytes, bytes]]) -> int | None:
+    """Position of the first (public_key, signature, message) triple whose
+    signature does not verify, or None when every one does.
+    """
+    cpus = _cpus()
+    if _sodium is None or len(items) < PARALLEL_FLOOR or cpus == 1:
+        for pos, (public_key, signature, message) in enumerate(items):
+            if not verify(public_key, signature, message):
+                return pos
+        return None
+    chunks = min(cpus, len(items))
+    bounds = [len(items) * c // chunks for c in range(chunks + 1)]
+    pool = _executor(cpus - 1)
+    futures = [
+        pool.submit(_sodium_first_invalid, items, bounds[c], bounds[c + 1])
+        for c in range(1, chunks)
+    ]
+    # the calling thread takes chunk 0; a chunk stops at its own first
+    # failure and the lowest failing position wins
+    found = [_sodium_first_invalid(items, 0, bounds[1])]
+    found += [f.result() for f in futures]
+    return min((pos for pos in found if pos is not None), default=None)

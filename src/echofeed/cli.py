@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import os
@@ -270,7 +271,10 @@ def cmd_ledger(args) -> int:
     raise AssertionError(f"unhandled ledger action {action}")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parsing leaves it
+    unchanged, so every call to main shares it."""
     parser = argparse.ArgumentParser(
         prog="echofeed",
         description="Latent-factor engagement recommender with a consent ledger",

@@ -291,11 +291,15 @@ def credit_tokens(ledger: Ledger, keypair: Keypair, amount: int, timestamp: int)
     )
 
 
-def _check_block(block: LedgerBlock) -> str | None:
-    """The fault a block shows on its own, without its neighbours.
+def _check_block(block: LedgerBlock) -> str | tuple[bytes, bytes, bytes] | None:
+    """The fault a block shows on its own, without its neighbours, or the
+    signature check it still needs.
 
     HASH_MISMATCH if its fields do not encode or do not hash to its
-    `hash`, else BAD_SIGNATURE if its signature fails, else None.
+    `hash`. A genesis-authored block is settled here: BAD_SIGNATURE unless
+    it is the pinned unsigned genesis block, which gives None. Any other
+    block gives the (author, signature, canonical bytes) triple that
+    _ed25519.first_invalid checks.
     """
     try:
         canonical = signing_bytes(
@@ -316,29 +320,42 @@ def _check_block(block: LedgerBlock) -> str | None:
         # signature is pinned so it is as tamper-evident as the rest
         if block.index != 0 or block.signature != EMPTY_SIGNATURE:
             return BAD_SIGNATURE
-    elif not _ed25519.verify(block.author, block.signature, canonical):
-        return BAD_SIGNATURE
-    return None
+        return None
+    return (block.author, block.signature, canonical)
 
 
 def verify_chain(ledger: Ledger) -> ChainReport:
     """Check every block: hash, linkage, index continuity, signature.
 
-    Failures are reported (first one wins), never raised.
+    Failures are reported (first one wins), never raised. The structural
+    checks run first, up to the first block that fails one; the signatures
+    before it are then checked in one batch, and a bad one among them is
+    the first failure.
     """
     prev = ZERO_HASH
+    triples: list[tuple[bytes, bytes, bytes]] = []
+    signed_at: list[int] = []
+    fault = None
     for pos, block in enumerate(ledger.blocks):
-        fault = _check_block(block)
-        if fault == HASH_MISMATCH:
-            return ChainReport(False, pos, HASH_MISMATCH)
-        if block.prev_hash != prev:
-            return ChainReport(False, pos, BROKEN_LINK)
-        if block.index != pos:
-            return ChainReport(False, pos, BAD_INDEX)
+        check = _check_block(block)
+        if check == HASH_MISMATCH:
+            fault = ChainReport(False, pos, HASH_MISMATCH)
+        elif block.prev_hash != prev:
+            fault = ChainReport(False, pos, BROKEN_LINK)
+        elif block.index != pos:
+            fault = ChainReport(False, pos, BAD_INDEX)
+        elif check == BAD_SIGNATURE:
+            fault = ChainReport(False, pos, BAD_SIGNATURE)
         if fault is not None:
-            return ChainReport(False, pos, fault)
+            break
+        if check is not None:
+            triples.append(check)
+            signed_at.append(pos)
         prev = block.hash
-    return ChainReport(True)
+    bad = _ed25519.first_invalid(triples)
+    if bad is not None:
+        return ChainReport(False, signed_at[bad], BAD_SIGNATURE)
+    return fault or ChainReport(True)
 
 
 def accounts(blocks: Iterable[LedgerBlock], keys: Iterable[bytes]) -> dict[bytes, UserAccount]:
@@ -397,21 +414,34 @@ def import_profile(profile: PortableProfile) -> UserAccount:
     """
     if not profile.blocks:
         raise VerificationFailureError("profile contains no blocks")
+    # block i's signature triple is triples[i]: every block before the
+    # first structural fault adds one, and so does an out-of-order block,
+    # because its bad signature would be reported before its order
+    triples: list[tuple[bytes, bytes, bytes]] = []
+    fault = None
     last_index = -1
     for block in profile.blocks:
         if block.author != profile.public_key:
-            raise VerificationFailureError(
-                f"block {block.index} authored by a different key"
-            )
-        fault = _check_block(block)
-        if fault == HASH_MISMATCH:
-            raise VerificationFailureError(f"block {block.index}: hash mismatch")
+            fault = f"block {block.index} authored by a different key"
+            break
+        check = _check_block(block)
+        if check == HASH_MISMATCH:
+            fault = f"block {block.index}: hash mismatch"
+            break
         # the genesis key signs nothing, so a profile under it proves nothing
-        if fault is not None or block.author == GENESIS_AUTHOR:
-            raise VerificationFailureError(f"block {block.index}: bad signature")
+        if not isinstance(check, tuple):
+            fault = f"block {block.index}: bad signature"
+            break
+        triples.append(check)
         if block.index <= last_index:
-            raise VerificationFailureError(f"block {block.index}: out of order")
+            fault = f"block {block.index}: out of order"
+            break
         last_index = block.index
+    bad = _ed25519.first_invalid(triples)
+    if bad is not None:
+        raise VerificationFailureError(f"block {profile.blocks[bad].index}: bad signature")
+    if fault is not None:
+        raise VerificationFailureError(fault)
     return accounts(profile.blocks, [profile.public_key])[profile.public_key]
 
 

@@ -7,6 +7,7 @@ C equally sized communities.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,6 +49,8 @@ def check_engagement(accept_top: int, accept_value: float) -> None:
     """Raise InvalidParameterError unless engagement_round accepts these."""
     if accept_top < 1:
         raise InvalidParameterError(f"accept_top must be >= 1, got {accept_top}")
+    if not math.isfinite(accept_value):
+        raise InvalidParameterError(f"accept_value must be finite, got {accept_value}")
     if accept_value <= 0:
         raise InvalidParameterError(f"accept_value must be > 0, got {accept_value}")
 

@@ -3,7 +3,7 @@ import json
 
 import pytest
 
-from echofeed.cli import main
+from echofeed.cli import build_parser, main
 from echofeed.ledger import load_ledger, verify_chain
 from echofeed.ratings import from_triplets, load_csv, write_csv
 
@@ -224,9 +224,14 @@ def test_simulate_negative_rounds_rejected_before_work(tmp_path, capsys):
         (["--accept-top", 0], "accept_top must be >= 1, got 0"),
         (["--accept-top", 0, "--rounds", 0], "accept_top must be >= 1, got 0"),
         (["--accept-value", 0], "accept_value must be > 0, got 0.0"),
+        (["--accept-value", "nan"], "accept_value must be finite, got nan"),
+        (["--accept-value", "inf", "--rounds", 0], "accept_value must be finite, got inf"),
         (["--rec-k", 0], "k_recs must be >= 1, got 0"),
     ],
-    ids=["accept-top", "accept-top-no-rounds", "accept-value", "rec-k"],
+    ids=[
+        "accept-top", "accept-top-no-rounds", "accept-value", "accept-value-nan",
+        "accept-value-inf-no-rounds", "rec-k",
+    ],
 )
 def test_simulate_bad_round_flags_rejected_before_work(
     tmp_path, capsys, monkeypatch, flags, message
@@ -326,6 +331,18 @@ def test_ledger_bad_author_is_usage_error(tmp_path, capsys, consent_env, action,
         assert "provide either --author or both --user and --keys" in err
     else:
         assert "--author must be 32 bytes in hex" in err
+
+
+def test_shared_parser_survives_a_usage_error(capsys, consent_env):
+    ledger, keys = consent_env
+    assert build_parser() is build_parser()
+    with pytest.raises(SystemExit) as exc:
+        main(["ledger", "balance", str(ledger), "--author", "zz"])
+    assert exc.value.code == 2
+    assert "--author must be 32 bytes in hex" in capsys.readouterr().err
+    # nothing of the refused command's flags carries over to the next one
+    assert run(capsys, "ledger", "balance", ledger, "--user", 3, "--keys", keys) == (0, "0\n", "")
+    assert run(capsys, "ledger", "verify", ledger) == (0, "valid\n", "")
 
 
 @pytest.mark.parametrize("action", ["append", "balance", "export"])

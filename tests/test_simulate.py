@@ -1,3 +1,4 @@
+import math
 import random
 
 import numpy as np
@@ -280,6 +281,9 @@ def test_engagement_validation():
         engagement_round(matrix, model, accept_top=0, accept_value=1.0)
     with pytest.raises(InvalidParameterError):
         engagement_round(matrix, model, accept_top=1, accept_value=0.0)
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameterError, match="accept_value must be finite"):
+            engagement_round(matrix, model, accept_top=1, accept_value=value)
 
 
 def test_train_engage_loop_fragmentation_non_decreasing():
