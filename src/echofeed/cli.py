@@ -20,12 +20,11 @@ from pathlib import Path
 
 from . import ledger as led
 from ._atomic import atomic_write
-from ._ed25519 import PUBLIC_KEY_SIZE
+from ._ed25519 import PUBLIC_KEY_SIZE, SEED_SIZE
 from .errors import (
     EchoFeedError,
     InvalidParameterError,
     ParseError,
-    SigningFailureError,
     UnregisteredUserError,
 )
 from .model import init_model, load_model, save_model
@@ -51,26 +50,42 @@ def _derive_seed(key_seed: int, index: int) -> bytes:
     return hashlib.sha256(f"{key_seed}:{index}".encode("ascii")).digest()
 
 
-def _write_keystore(path: Path, keypairs: dict[int, led.Keypair]) -> None:
-    doc = {str(idx): kp.seed.hex() for idx, kp in sorted(keypairs.items())}
+def _write_keystore(path: Path, seeds: dict[int, bytes]) -> None:
+    doc = {str(idx): seed.hex() for idx, seed in sorted(seeds.items())}
     with atomic_write(path) as fh:
         fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
-def _load_keystore(path: Path) -> dict[int, led.Keypair]:
+def _load_keystore(path: Path) -> dict[int, bytes]:
+    """Every user's signing seed, each entry checked; no key is expanded."""
+    objects = []
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        # the hook sees every JSON object's members, the outermost last, so
+        # a key written twice is seen although the dict keeps only one
+        doc = json.loads(
+            path.read_text(encoding="utf-8"),
+            object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs),
+        )
         if not isinstance(doc, dict):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
-        return {int(idx): led.Keypair(bytes.fromhex(seed)) for idx, seed in doc.items()}
-    except (TypeError, ValueError, RecursionError, SigningFailureError) as exc:
+        seeds = {}
+        for idx, text in objects[-1]:
+            user = int(idx)
+            if user in seeds:
+                raise ValueError(f"user {user} is listed more than once")
+            seed = bytes.fromhex(text)
+            if len(seed) != SEED_SIZE:
+                raise ValueError(f"signing seed must be {SEED_SIZE} bytes")
+            seeds[user] = seed
+        return seeds
+    except (TypeError, ValueError, RecursionError) as exc:
         raise ParseError(f"{path}: not a valid keystore ({exc})") from exc
 
 
-def _keystore_entry(keystore: dict[int, led.Keypair], user: int) -> led.Keypair:
-    if user not in keystore:
+def _keypair(seeds: dict[int, bytes], user: int) -> led.Keypair:
+    if user not in seeds:
         raise UnregisteredUserError(f"user {user} not present in the keystore")
-    return keystore[user]
+    return led.Keypair(seeds[user])
 
 
 def _resolve_author(args) -> bytes:
@@ -86,7 +101,7 @@ def _resolve_author(args) -> bytes:
         return author
     if args.user is None or args.keys is None:
         args.usage_error("provide either --author or both --user and --keys")
-    return _keystore_entry(_load_keystore(Path(args.keys)), args.user).public_key
+    return _keypair(_load_keystore(Path(args.keys)), args.user).public_key
 
 
 def _train_config(args) -> TrainConfig:
@@ -115,7 +130,9 @@ def cmd_train(args) -> int:
     keystore = None
     if args.ledger:
         ledger_obj = led.load_ledger(args.ledger)
-        keystore = _load_keystore(Path(args.keys))
+        # the registry needs every public key, so every seed is expanded
+        seeds = _load_keystore(Path(args.keys))
+        keystore = {idx: led.Keypair(seed) for idx, seed in seeds.items()}
         registry = {idx: kp.public_key for idx, kp in keystore.items()}
         matrix = led.consented_ratings(ledger_obj, matrix, registry)
     train_m, test_m = split_holdout(matrix, args.holdout, args.seed)
@@ -213,10 +230,8 @@ def cmd_ledger(args) -> int:
         chain = led.new_ledger(_now_or(args.timestamp))
         led.save_ledger(chain, args.out)
         if args.users:
-            keypairs = {
-                i: led.Keypair(_derive_seed(args.key_seed, i)) for i in range(args.users)
-            }
-            _write_keystore(Path(args.keys), keypairs)
+            seeds = {i: _derive_seed(args.key_seed, i) for i in range(args.users)}
+            _write_keystore(Path(args.keys), seeds)
         print(f"initialized ledger at {args.out}")
         return 0
 
@@ -239,8 +254,7 @@ def cmd_ledger(args) -> int:
         print(report)
         return 0 if report.valid else 1
     if action == "append":
-        keystore = _load_keystore(Path(args.keys))
-        kp = _keystore_entry(keystore, args.user)
+        kp = _keypair(_load_keystore(Path(args.keys)), args.user)
         ts = _now_or(args.timestamp)
         if args.type == "credit":
             block = led.credit_tokens(chain, kp, args.amount, ts)
@@ -252,8 +266,7 @@ def cmd_ledger(args) -> int:
         print(f"appended block {block.index}")
         return 0
     if action == "consent":
-        keystore = _load_keystore(Path(args.keys))
-        kp = _keystore_entry(keystore, args.user)
+        kp = _keypair(_load_keystore(Path(args.keys)), args.user)
         block = led.set_consent(chain, kp, args.grant, _now_or(args.timestamp))
         led.append_blocks([block], args.ledger)
         print(f"appended block {block.index}")

@@ -63,7 +63,7 @@ _TYPE_NAMES = {
     PayloadType.CONSENT_REVOKE: "ConsentRevoke",
     PayloadType.TOKEN_CREDIT: "TokenCredit",
 }
-_NAMES_TO_TYPE = {name: t for t, name in _TYPE_NAMES.items()}
+_NAMES_TO_TYPE = {name: int(t) for t, name in _TYPE_NAMES.items()}
 
 # verification failure reasons, in check order
 HASH_MISMATCH = "HashMismatch"
@@ -125,18 +125,22 @@ class LedgerBlock:
         """Inverse of to_json_dict; TypeError/KeyError/ValueError on a bad doc."""
         if not isinstance(doc, dict):
             raise TypeError(f"block must be a JSON object, got {type(doc).__name__}")
-        for key in ("index", "timestamp"):
-            if type(doc[key]) is not int:
-                raise TypeError(f"{key} must be an integer, got {doc[key]!r}")
+        index = doc["index"]
+        if type(index) is not int:
+            raise TypeError(f"index must be an integer, got {index!r}")
+        timestamp = doc["timestamp"]
+        if type(timestamp) is not int:
+            raise TypeError(f"timestamp must be an integer, got {timestamp!r}")
+        # positional, in field order: a ledger load builds thousands of these
         return cls(
-            index=doc["index"],
-            prev_hash=bytes.fromhex(doc["prev_hash_hex"]),
-            timestamp=doc["timestamp"],
-            author=bytes.fromhex(doc["author_hex"]),
-            payload_type=int(_NAMES_TO_TYPE[doc["payload_type"]]),
-            payload=base64.b64decode(doc["payload_b64"]),
-            signature=bytes.fromhex(doc["signature_hex"]),
-            hash=bytes.fromhex(doc["hash_hex"]),
+            index,
+            bytes.fromhex(doc["prev_hash_hex"]),
+            timestamp,
+            bytes.fromhex(doc["author_hex"]),
+            _NAMES_TO_TYPE[doc["payload_type"]],
+            base64.b64decode(doc["payload_b64"]),
+            bytes.fromhex(doc["signature_hex"]),
+            bytes.fromhex(doc["hash_hex"]),
         )
 
 
@@ -483,12 +487,22 @@ def load_ledger(path: str | Path) -> Ledger:
     except UnicodeDecodeError as exc:
         lineno = exc.object.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"bad ledger block: not valid UTF-8 ({exc.reason})", lineno) from exc
+    decode = json.JSONDecoder().raw_decode
     blocks = []
     for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
         try:
-            blocks.append(LedgerBlock.from_json_dict(json.loads(line)))
+            try:
+                doc, end = decode(line)
+            except (ValueError, RecursionError):
+                end = -1
+            if end != len(line):
+                # not one bare JSON value (padding, a blank line, a BOM,
+                # trailing data, bad JSON): skip blanks, let json.loads word
+                # the error
+                if not line.strip():
+                    continue
+                doc = json.loads(line)
+            blocks.append(LedgerBlock.from_json_dict(doc))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"bad ledger block: {exc}", lineno) from exc
     return Ledger(blocks)

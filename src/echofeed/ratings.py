@@ -104,13 +104,19 @@ def _build(users, events, values, n_users, n_events) -> RatingMatrix:
     bad = ~((users >= 0) & (users < n_users) & (events >= 0) & (events < n_events))
     bad |= ~np.isfinite(values) | (values < 0)
     first_bad = int(np.argmax(bad)) if bad.any() else len(bad)
-    # stable, so each run of one (user, event) pair stays in input order
-    order = np.lexsort((events[:first_bad], users[:first_bad]))
-    su, se, sv = users[order], events[order], values[order]
+    su, se, sv = users[:first_bad], events[:first_bad], values[:first_bad]
+    # columns already in (user, event) order, as write_csv writes them, are
+    # what the stable sort would return, so it is skipped
+    order = None
+    if not np.all((su[1:] > su[:-1]) | ((su[1:] == su[:-1]) & (se[1:] >= se[:-1]))):
+        # stable, so each run of one (user, event) pair stays in input order
+        order = np.lexsort((se, su))
+        su, se, sv = su[order], se[order], sv[order]
     repeated = (su[1:] == su[:-1]) & (se[1:] == se[:-1])
     clashes = np.flatnonzero(repeated & (sv[1:] != sv[:-1]))
     if len(clashes):
-        j = clashes[np.argmin(order[clashes + 1])]
+        # the clash whose second triplet comes first in input order
+        j = clashes[0] if order is None else clashes[np.argmin(order[clashes + 1])]
         raise DuplicateEntryError(
             f"duplicate entry for user {int(su[j])}, event {int(se[j])}: "
             f"{float(sv[j])} vs {float(sv[j + 1])}"

@@ -420,8 +420,13 @@ def test_missing_file_is_domain_error(tmp_path, capsys):
         '{"zero": "' + "00" * 32 + '"}',  # index not an integer
         '{"0": "' + "zz" * 32 + '"}',  # seed not hex
         '{"0": "abcd"}',  # seed of the wrong length
+        '{"1": "' + "11" * 32 + '", "01": "' + "22" * 32 + '"}',  # one user, two spellings
+        '{"1": "' + "11" * 32 + '", "1": "' + "22" * 32 + '"}',  # one JSON key twice
     ],
-    ids=["invalid-json", "non-object", "non-integer-index", "non-hex-seed", "short-seed"],
+    ids=[
+        "invalid-json", "non-object", "non-integer-index", "non-hex-seed", "short-seed",
+        "same-user-twice", "same-key-twice",
+    ],
 )
 def test_malformed_keystore_is_domain_error(tmp_path, capsys, consent_env, text):
     ledger, _ = consent_env
@@ -434,6 +439,32 @@ def test_malformed_keystore_is_domain_error(tmp_path, capsys, consent_env, text)
     assert code == 1
     assert "not a valid keystore" in err
     assert ledger.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        "ledger consent {ledger} --user 0 --grant",
+        "ledger append {ledger} --user 0 --payload x",
+        "ledger balance {ledger} --user 0",
+        "ledger export {ledger} --user 0 --out {tmp}/profile.json",
+        "train {csv} --out {tmp}/model.json --ledger {ledger} --epochs 1",
+    ],
+    ids=["consent", "append", "balance", "export", "train"],
+)
+def test_bad_seed_of_another_user_is_refused(tmp_path, capsys, consent_env, matrix_csv, command):
+    """Only the signing user's seed is expanded, but every seed is checked."""
+    ledger, keys = consent_env
+    doc = json.loads(keys.read_text())
+    doc["5"] = "abcd"
+    keys.write_text(json.dumps(doc))
+    before = ledger.read_bytes()
+    args = [a.format(ledger=ledger, tmp=tmp_path, csv=matrix_csv) for a in command.split()]
+    code, _, err = run(capsys, *args, "--keys", keys)
+    assert code == 1
+    assert err == f"error: {keys}: not a valid keystore (signing seed must be 32 bytes)\n"
+    assert ledger.read_bytes() == before
+    assert not (tmp_path / "profile.json").exists() and not (tmp_path / "model.json").exists()
 
 
 # --- appends ---
