@@ -12,7 +12,6 @@ from .errors import EchoFeedError
 from .ledger import (
     ChainReport,
     Keypair,
-    Ledger,
     LedgerBlock,
     PayloadType,
     PortableProfile,
@@ -66,7 +65,6 @@ __all__ = [
     "EchoFeedError",
     "FactorModel",
     "Keypair",
-    "Ledger",
     "LedgerBlock",
     "PayloadType",
     "PortableProfile",

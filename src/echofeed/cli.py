@@ -147,12 +147,12 @@ def cmd_train(args) -> int:
     if ledger_obj is not None:
         ts = _now_or(args.timestamp)
         # credits never change consent, so one replay serves the whole loop
-        state = led.accounts(ledger_obj.blocks, (kp.public_key for kp in keystore.values()))
+        state = led.accounts(ledger_obj, (kp.public_key for kp in keystore.values()))
         start = len(ledger_obj)
         for idx in sorted(keystore):
             if state[keystore[idx].public_key].consent:
                 led.credit_tokens(ledger_obj, keystore[idx], args.reward, ts)
-        led.append_blocks(ledger_obj.blocks[start:], args.ledger)
+        led.append_blocks(ledger_obj[start:], args.ledger)
     print(f"final_objective={report.loss_history[-1]!r}")
     if len(test_m):
         print(f"rmse_holdout={rmse(trained, test_m)!r}")
@@ -273,7 +273,7 @@ def cmd_ledger(args) -> int:
         return 0
     if action == "balance":
         author = _resolve_author(args)
-        print(led.accounts(chain.blocks, [author])[author].token_balance)
+        print(led.accounts(chain, [author])[author].token_balance)
         return 0
     if action == "export":
         author = _resolve_author(args)

@@ -17,9 +17,10 @@ computed over exactly these bytes; the stored JSON representation is just a
 transport. The genesis block is system-authored (all-zero key) and carries
 an all-zero signature, which verification accepts at index 0 only.
 
-Consent and token balances are pure functions of the chain: `accounts`
-replays the blocks to reproduce them, and a user's latest consent block wins
-(default before any consent block: False, opt-in).
+A ledger is a plain list of blocks in chain order. Consent and token
+balances are pure functions of it: `accounts` replays the blocks to
+reproduce them, and a user's latest consent block wins (default before any
+consent block: False, opt-in).
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from .errors import (
     UnregisteredUserError,
     VerificationFailureError,
 )
-from .ratings import RatingMatrix, filter_users
+from .ratings import RatingMatrix, filter_users, read_utf8
 
 ZERO_HASH = b"\x00" * 32
 GENESIS_AUTHOR = b"\x00" * 32
@@ -78,17 +79,12 @@ class Keypair:
     The seed is expanded once, here; every signature reuses the result.
     """
 
-    __slots__ = ("seed", "public_key", "_signing_key")
+    __slots__ = ("public_key", "_signing_key")
 
     def __init__(self, seed: bytes):
         if len(seed) != _ed25519.SEED_SIZE:
             raise SigningFailureError(f"signing seed must be {_ed25519.SEED_SIZE} bytes")
-        self.seed = bytes(seed)
-        self.public_key, self._signing_key = _ed25519.keypair(self.seed)
-
-    @classmethod
-    def generate(cls) -> "Keypair":
-        return cls(os.urandom(_ed25519.SEED_SIZE))
+        self.public_key, self._signing_key = _ed25519.keypair(bytes(seed))
 
     def sign(self, message: bytes) -> bytes:
         try:
@@ -173,26 +169,6 @@ class ChainReport:
         return f"invalid at index {self.bad_index}: {self.reason}"
 
 
-class Ledger:
-    """Append-only block container. Use the module functions to mutate."""
-
-    def __init__(self, blocks: Iterable[LedgerBlock] = ()):
-        self._blocks: list[LedgerBlock] = list(blocks)
-
-    @property
-    def blocks(self) -> list[LedgerBlock]:
-        return self._blocks
-
-    def __len__(self) -> int:
-        return len(self._blocks)
-
-    def __getitem__(self, i: int) -> LedgerBlock:
-        return self._blocks[i]
-
-    def tip_hash(self) -> bytes:
-        return self._blocks[-1].hash if self._blocks else ZERO_HASH
-
-
 def signing_bytes(
     index: int,
     prev_hash: bytes,
@@ -219,20 +195,22 @@ def block_hash(canonical: bytes) -> bytes:
     return hashlib.sha256(canonical).digest()
 
 
-def new_ledger(timestamp: int = 0) -> Ledger:
-    """Ledger holding only the system-authored genesis block."""
-    canonical = signing_bytes(0, ZERO_HASH, timestamp, GENESIS_AUTHOR, PayloadType.POST, b"")
-    genesis = LedgerBlock(
-        index=0,
-        prev_hash=ZERO_HASH,
-        timestamp=timestamp,
-        author=GENESIS_AUTHOR,
-        payload_type=int(PayloadType.POST),
-        payload=b"",
-        signature=EMPTY_SIGNATURE,
-        hash=block_hash(canonical),
+def _seal(index, prev_hash, timestamp, author, payload_type, payload, sign) -> LedgerBlock:
+    """Every new block is made here: signed by `sign` and hashed over one canonical encoding."""
+    canonical = signing_bytes(index, prev_hash, timestamp, author, payload_type, payload)
+    return LedgerBlock(
+        index, prev_hash, timestamp, author, payload_type, payload,
+        sign(canonical), block_hash(canonical),
     )
-    return Ledger([genesis])
+
+
+def new_ledger(timestamp: int = 0) -> list[LedgerBlock]:
+    """Ledger holding only the system-authored genesis block."""
+    genesis = _seal(
+        0, ZERO_HASH, timestamp, GENESIS_AUTHOR, int(PayloadType.POST), b"",
+        lambda _: EMPTY_SIGNATURE,
+    )
+    return [genesis]
 
 
 def _validate_payload(payload_type: int, payload: bytes) -> None:
@@ -249,41 +227,37 @@ def _validate_payload(payload_type: int, payload: bytes) -> None:
 
 
 def append_event(
-    ledger: Ledger,
+    ledger: list[LedgerBlock],
     keypair: Keypair,
     payload_type: PayloadType | int,
     payload: bytes,
     timestamp: int,
 ) -> LedgerBlock:
     """Sign and append one block; returns it."""
-    _validate_payload(int(payload_type), payload)
-    if not 0 <= int(timestamp) < 2**64:
+    payload_type = int(payload_type)
+    _validate_payload(payload_type, payload)
+    ts = int(timestamp)
+    if not 0 <= ts < 2**64:
         raise InvalidPayloadError(f"timestamp must fit an unsigned 64-bit int, got {timestamp}")
-    index = len(ledger)
-    canonical = signing_bytes(
-        index, ledger.tip_hash(), int(timestamp), keypair.public_key, int(payload_type), payload
+    prev_hash = ledger[-1].hash if ledger else ZERO_HASH
+    block = _seal(
+        len(ledger), prev_hash, ts, keypair.public_key, payload_type, bytes(payload), keypair.sign
     )
-    block = LedgerBlock(
-        index=index,
-        prev_hash=ledger.tip_hash(),
-        timestamp=int(timestamp),
-        author=keypair.public_key,
-        payload_type=int(payload_type),
-        payload=bytes(payload),
-        signature=keypair.sign(canonical),
-        hash=block_hash(canonical),
-    )
-    ledger.blocks.append(block)
+    ledger.append(block)
     return block
 
 
-def set_consent(ledger: Ledger, keypair: Keypair, flag: bool, timestamp: int) -> LedgerBlock:
+def set_consent(
+    ledger: list[LedgerBlock], keypair: Keypair, flag: bool, timestamp: int
+) -> LedgerBlock:
     """Record a consent grant (flag True) or revocation (False)."""
     ptype = PayloadType.CONSENT_GRANT if flag else PayloadType.CONSENT_REVOKE
     return append_event(ledger, keypair, ptype, b"", timestamp)
 
 
-def credit_tokens(ledger: Ledger, keypair: Keypair, amount: int, timestamp: int) -> LedgerBlock:
+def credit_tokens(
+    ledger: list[LedgerBlock], keypair: Keypair, amount: int, timestamp: int
+) -> LedgerBlock:
     """Record a reward of `amount` tokens to the keypair's account."""
     amount = int(amount)
     if amount < 0:
@@ -328,7 +302,7 @@ def _check_block(block: LedgerBlock) -> str | tuple[bytes, bytes, bytes] | None:
     return (block.author, block.signature, canonical)
 
 
-def verify_chain(ledger: Ledger) -> ChainReport:
+def verify_chain(ledger: list[LedgerBlock]) -> ChainReport:
     """Check every block: hash, linkage, index continuity, signature.
 
     Failures are reported (first one wins), never raised. The structural
@@ -340,7 +314,7 @@ def verify_chain(ledger: Ledger) -> ChainReport:
     triples: list[tuple[bytes, bytes, bytes]] = []
     signed_at: list[int] = []
     fault = None
-    for pos, block in enumerate(ledger.blocks):
+    for pos, block in enumerate(ledger):
         check = _check_block(block)
         if check == HASH_MISMATCH:
             fault = ChainReport(False, pos, HASH_MISMATCH)
@@ -385,7 +359,7 @@ def accounts(blocks: Iterable[LedgerBlock], keys: Iterable[bytes]) -> dict[bytes
 
 
 def consented_ratings(
-    ledger: Ledger, matrix: RatingMatrix, registry: Mapping[int, bytes]
+    ledger: list[LedgerBlock], matrix: RatingMatrix, registry: Mapping[int, bytes]
 ) -> RatingMatrix:
     """Sub-matrix of the observations whose users currently consent.
 
@@ -396,14 +370,14 @@ def consented_ratings(
     missing = [u for u in present if u not in registry]
     if missing:
         raise UnregisteredUserError(f"users {missing} have no registered public key")
-    state = accounts(ledger.blocks, (registry[u] for u in present))
+    state = accounts(ledger, (registry[u] for u in present))
     return filter_users(matrix, [u for u in present if state[bytes(registry[u])].consent])
 
 
-def export_profile(ledger: Ledger, public_key: bytes) -> PortableProfile:
+def export_profile(ledger: list[LedgerBlock], public_key: bytes) -> PortableProfile:
     """All blocks authored by this key, in ledger order."""
     public_key = bytes(public_key)
-    blocks = tuple(b for b in ledger.blocks if b.author == public_key)
+    blocks = tuple(b for b in ledger if b.author == public_key)
     if not blocks:
         raise UnregisteredUserError(f"no blocks authored by {public_key.hex()}")
     return PortableProfile(public_key=public_key, blocks=blocks)
@@ -453,13 +427,13 @@ def _block_line(block: LedgerBlock) -> str:
     return json.dumps(block.to_json_dict(), sort_keys=True) + "\n"
 
 
-def save_ledger(ledger: Ledger, path: str | Path) -> None:
+def save_ledger(ledger: list[LedgerBlock], path: str | Path) -> None:
     """One block per line, JSON; integrity lives in the canonical bytes.
 
     The file is replaced atomically: a failed write leaves the old one.
     """
     with atomic_write(path) as fh:
-        fh.writelines(_block_line(b) for b in ledger.blocks)
+        fh.writelines(_block_line(b) for b in ledger)
 
 
 def append_blocks(blocks: Iterable[LedgerBlock], path: str | Path) -> None:
@@ -480,13 +454,8 @@ def append_blocks(blocks: Iterable[LedgerBlock], path: str | Path) -> None:
         fh.write(data)
 
 
-def load_ledger(path: str | Path) -> Ledger:
-    path = Path(path)
-    try:
-        text = path.read_text(encoding="utf-8")
-    except UnicodeDecodeError as exc:
-        lineno = exc.object.count(b"\n", 0, exc.start) + 1
-        raise ParseError(f"bad ledger block: not valid UTF-8 ({exc.reason})", lineno) from exc
+def load_ledger(path: str | Path) -> list[LedgerBlock]:
+    text = read_utf8(path, "bad ledger block: ")
     decode = json.JSONDecoder().raw_decode
     blocks = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -505,7 +474,7 @@ def load_ledger(path: str | Path) -> Ledger:
             blocks.append(LedgerBlock.from_json_dict(doc))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"bad ledger block: {exc}", lineno) from exc
-    return Ledger(blocks)
+    return blocks
 
 
 def save_profile(profile: PortableProfile, path: str | Path) -> None:

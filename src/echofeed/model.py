@@ -93,6 +93,13 @@ def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.einsum("...j,...j->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
 
 
+def _residuals(model: FactorModel, matrix: RatingMatrix) -> np.ndarray:
+    """Observed value minus prediction, one per observation in matrix order."""
+    return matrix.values - _dot(
+        model.user_factors[matrix.users], model.event_factors[matrix.events]
+    )
+
+
 def predict(model: FactorModel, u: int, i: int) -> float:
     """Predicted engagement for (user u, event i): the factor dot product."""
     if not 0 <= u < model.n_users:
@@ -117,9 +124,7 @@ def objective(model: FactorModel, matrix: RatingMatrix) -> float:
     value is reproducible run to run.
     """
     check_dimensions(model, matrix)
-    resid = matrix.values - _dot(
-        model.user_factors[matrix.users], model.event_factors[matrix.events]
-    )
+    resid = _residuals(model, matrix)
     return float(resid @ resid) + model.gamma * l2_penalty(model)
 
 

@@ -67,11 +67,6 @@ class RatingMatrix:
             and self.values.tobytes() == other.values.tobytes()
         )
 
-    @property
-    def density(self) -> float:
-        cells = self.n_users * self.n_events
-        return len(self) / cells if cells else 0.0
-
     def __len__(self) -> int:
         return len(self.values)
 
@@ -200,6 +195,16 @@ def _parse_bulk(lines: list[str], index_type=np.int64):
     return header_dims, users, events, values
 
 
+def read_utf8(path: str | Path, context: str = "") -> str:
+    """The file as UTF-8 text; a bad byte's ParseError counts lines as splitlines() does."""
+    raw = Path(path).read_bytes()
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
+        raise ParseError(f"{context}not valid UTF-8 ({exc.reason})", line) from exc
+
+
 def load_csv(path: str | Path) -> RatingMatrix:
     """Read a matrix from a `user,event,value` CSV file.
 
@@ -208,13 +213,7 @@ def load_csv(path: str | Path) -> RatingMatrix:
     with neither data rows nor a dimension header is rejected as empty.
     """
     path = Path(path)
-    raw = path.read_bytes()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        line = len((raw[: exc.start].decode("utf-8") + "x").splitlines())
-        raise ParseError(f"not valid UTF-8 ({exc.reason})", line) from exc
-    lines = text.splitlines()
+    lines = read_utf8(path).splitlines()
     try:
         header_dims, users, events, values = _parse_bulk(lines)
     except OverflowError:

@@ -29,7 +29,7 @@ from .errors import (
     InvalidParameterError,
     NonFiniteUpdateError,
 )
-from .model import FactorModel, _dot, check_dimensions, objective
+from .model import FactorModel, _residuals, check_dimensions, objective
 from .ratings import RatingMatrix
 
 
@@ -190,7 +190,5 @@ def rmse(model: FactorModel, matrix: RatingMatrix) -> float:
     check_dimensions(model, matrix)
     if not len(matrix):
         raise EmptyMatrixError("rmse needs at least one observation")
-    resid = matrix.values - _dot(
-        model.user_factors[matrix.users], model.event_factors[matrix.events]
-    )
+    resid = _residuals(model, matrix)
     return math.sqrt(float(resid @ resid) / len(resid))

@@ -20,7 +20,6 @@ from echofeed.ledger import (
     BAD_SIGNATURE,
     HASH_MISMATCH,
     Keypair,
-    Ledger,
     PayloadType,
     accounts,
     append_event,
@@ -290,7 +289,7 @@ def test_criterion_6_ledger_immutability():
     assert verify_chain(led).valid
 
     checked = 0
-    for pos, block in enumerate(led.blocks):
+    for pos, block in enumerate(led):
         mutations = []
         for flipped in bit_flips(block.index.to_bytes(8, "big")):
             mutations.append(({"index": int.from_bytes(flipped, "big")}, HASH_MISMATCH))
@@ -307,9 +306,9 @@ def test_criterion_6_ledger_immutability():
         for flipped in bit_flips(block.signature):
             mutations.append(({"signature": flipped}, BAD_SIGNATURE))
         for changes, expected_reason in mutations:
-            blocks = list(led.blocks)
+            blocks = list(led)
             blocks[pos] = dataclasses.replace(block, **changes)
-            verdict = verify_chain(Ledger(blocks))
+            verdict = verify_chain(blocks)
             assert not verdict.valid, (pos, changes)
             assert verdict.bad_index == pos, (pos, changes, verdict)
             assert verdict.reason == expected_reason, (pos, changes, verdict)
@@ -411,7 +410,7 @@ def test_criterion_8_token_conservation_and_replay():
             credit_tokens(led, kp, amount, t)
             tracked[kp.public_key][1] += amount
             minted += amount
-    state = accounts(led.blocks, tracked)
+    state = accounts(led, tracked)
     replay_ok = all(
         state[kp.public_key].consent == tracked[kp.public_key][0]
         and state[kp.public_key].token_balance == tracked[kp.public_key][1]
@@ -444,7 +443,7 @@ def test_criterion_9_portable_profile_round_trip():
 
     profile = export_profile(led, alice.public_key)
     account = import_profile(profile)
-    replayed = accounts(led.blocks, [alice.public_key])[alice.public_key]
+    replayed = accounts(led, [alice.public_key])[alice.public_key]
     round_trip_ok = (
         account.consent is replayed.consent
         and account.token_balance == replayed.token_balance == 7

@@ -309,7 +309,7 @@ def test_ledger_post_payload_bytes_round_trip(tmp_path, capsys, consent_env):
     )
     assert code == 0
     chain = load_ledger(ledger)
-    assert chain.blocks[-1].payload == b"caf\xc3\xa9\xff"
+    assert chain[-1].payload == b"caf\xc3\xa9\xff"
     assert verify_chain(chain).valid
 
 

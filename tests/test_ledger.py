@@ -21,7 +21,6 @@ from echofeed.ledger import (
     HASH_MISMATCH,
     ZERO_HASH,
     Keypair,
-    Ledger,
     LedgerBlock,
     PayloadType,
     UserAccount,
@@ -42,17 +41,17 @@ from echofeed.ledger import (
     signing_bytes,
     verify_chain,
 )
-from echofeed.ratings import from_triplets
+from echofeed.ratings import from_triplets, load_csv
 
 
 def keypair(n: int) -> Keypair:
     return Keypair(bytes([n]) * 32)
 
 
-def replace_block(ledger: Ledger, pos: int, **changes) -> Ledger:
-    blocks = list(ledger.blocks)
+def replace_block(ledger: list[LedgerBlock], pos: int, **changes) -> list[LedgerBlock]:
+    blocks = list(ledger)
     blocks[pos] = dataclasses.replace(blocks[pos], **changes)
-    return Ledger(blocks)
+    return blocks
 
 
 def flip_bit(data: bytes, bit: int) -> bytes:
@@ -61,8 +60,8 @@ def flip_bit(data: bytes, bit: int) -> bytes:
     return bytes(out)
 
 
-def account_of(led: Ledger, public_key: bytes) -> UserAccount:
-    return accounts(led.blocks, [public_key])[public_key]
+def account_of(led: list[LedgerBlock], public_key: bytes) -> UserAccount:
+    return accounts(led, [public_key])[public_key]
 
 
 def sample_ledger():
@@ -173,8 +172,8 @@ def test_replay_gives_genesis_author_nothing():
     led = new_ledger()
     set_consent(led, keypair(1), True, 1)
     credit_tokens(led, keypair(1), 5, 2)
-    blocks = [led[0]] + [rehashed(b, author=GENESIS_AUTHOR) for b in led.blocks[1:]]
-    assert account_of(Ledger(blocks), GENESIS_AUTHOR) == UserAccount(GENESIS_AUTHOR, False, 0)
+    blocks = [led[0]] + [rehashed(b, author=GENESIS_AUTHOR) for b in led[1:]]
+    assert account_of(blocks, GENESIS_AUTHOR) == UserAccount(GENESIS_AUTHOR, False, 0)
 
 
 # --- balances ---
@@ -211,7 +210,7 @@ def test_random_events_replay_and_conserve():
             tracked[kp.public_key][1] += amt
             minted += amt
     assert verify_chain(led).valid
-    state = accounts(led.blocks, tracked)
+    state = accounts(led, tracked)
     assert state == {key: UserAccount(key, *entry) for key, entry in tracked.items()}
     assert sum(account.token_balance for account in state.values()) == minted
 
@@ -269,17 +268,17 @@ def test_zero_author_rejected_after_genesis():
     forged = dataclasses.replace(
         block, author=GENESIS_AUTHOR, signature=EMPTY_SIGNATURE, hash=block_hash(canonical)
     )
-    blocks = list(led.blocks)
+    blocks = list(led)
     blocks[1] = forged
-    report = verify_chain(Ledger(blocks))
+    report = verify_chain(blocks)
     assert (report.valid, report.bad_index, report.reason) == (False, 1, BAD_SIGNATURE)
 
 
 def test_removed_block_breaks_chain():
     led, _, _ = sample_ledger()
-    blocks = list(led.blocks)
+    blocks = list(led)
     del blocks[2]
-    report = verify_chain(Ledger(blocks))
+    report = verify_chain(blocks)
     assert not report.valid
     assert report.bad_index == 2
     assert report.reason == BROKEN_LINK
@@ -287,9 +286,9 @@ def test_removed_block_breaks_chain():
 
 def test_swapped_blocks_detected():
     led, _, _ = sample_ledger()
-    blocks = list(led.blocks)
+    blocks = list(led)
     blocks[1], blocks[2] = blocks[2], blocks[1]
-    report = verify_chain(Ledger(blocks))
+    report = verify_chain(blocks)
     assert not report.valid
     assert report.bad_index == 1
 
@@ -304,7 +303,7 @@ def test_bad_index_reason_reachable():
     forged = dataclasses.replace(
         blk, index=5, signature=kp.sign(canonical), hash=block_hash(canonical)
     )
-    report = verify_chain(Ledger([led[0], forged]))
+    report = verify_chain([led[0], forged])
     assert (report.valid, report.bad_index, report.reason) == (False, 1, BAD_INDEX)
 
 
@@ -326,17 +325,17 @@ def rehashed(block: LedgerBlock, **changes) -> LedgerBlock:
 )
 def test_link_and_index_are_reported_before_signature(changes, reason):
     led, _, _ = sample_ledger()
-    blocks = list(led.blocks)
+    blocks = list(led)
     blocks[2] = rehashed(blocks[2], **changes)
     assert not _ed25519.verify(*_check_block(blocks[2]))
-    report = verify_chain(Ledger(blocks))
+    report = verify_chain(blocks)
     assert (report.valid, report.bad_index, report.reason) == (False, 2, reason)
 
 
 def test_operations_never_rewrite_history():
     led = new_ledger()
     kp = keypair(6)
-    snapshots = [tuple(b.hash for b in led.blocks)]
+    snapshots = [tuple(b.hash for b in led)]
     for op in (
         lambda: append_event(led, kp, PayloadType.POST, b"p", 1),
         lambda: set_consent(led, kp, True, 2),
@@ -344,10 +343,10 @@ def test_operations_never_rewrite_history():
         lambda: verify_chain(led),
         lambda: account_of(led, kp.public_key).token_balance,
     ):
-        before = tuple(b.hash for b in led.blocks)
+        before = tuple(b.hash for b in led)
         assert before == snapshots[-1]
         op()
-        after = tuple(b.hash for b in led.blocks)
+        after = tuple(b.hash for b in led)
         assert after[: len(before)] == before
         assert len(after) >= len(before)
         snapshots.append(after)
@@ -487,7 +486,7 @@ def test_ledger_file_round_trip(tmp_path):
     path = tmp_path / "chain.jsonl"
     save_ledger(led, path)
     back = load_ledger(path)
-    assert back.blocks == led.blocks
+    assert back == led
     assert verify_chain(back).valid
 
 
@@ -590,6 +589,25 @@ def test_load_ledger_reports_non_utf8_line(tmp_path):
     assert exc.value.line == 4
 
 
+@pytest.mark.parametrize("newline", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+def test_non_utf8_line_numbered_as_both_loaders_split_lines(tmp_path, newline):
+    # a bad byte on line 3 is on line 3 whatever ends the lines, in a ledger
+    # as in a ratings CSV
+    path = tmp_path / "chain.jsonl"
+    save_ledger(sample_ledger()[0], path)
+    lines = path.read_bytes().splitlines()
+    lines[2] = lines[2].replace(b"payload_type", b"payload_\xfftype")
+    path.write_bytes(newline.join(lines) + newline)
+    with pytest.raises(ParseError, match="^line 3: bad ledger block: not valid UTF-8 ") as exc:
+        load_ledger(path)
+    assert exc.value.line == 3
+    csv = tmp_path / "ratings.csv"
+    csv.write_bytes(newline.join([b"0,0,1.0", b"0,1,2.0", b"0,2,\xff"]) + newline)
+    with pytest.raises(ParseError, match="^line 3: not valid UTF-8 ") as exc:
+        load_csv(csv)
+    assert exc.value.line == 3
+
+
 @pytest.mark.skipif(_ed25519._sodium is None, reason="libsodium is not loaded")
 def test_backends_byte_identical(monkeypatch):
     from cryptography.hazmat.primitives.asymmetric.ed25519 import Ed25519PrivateKey
@@ -626,7 +644,7 @@ def test_backends_byte_identical(monkeypatch):
     assert not isinstance(sodium_keys[0]._signing_key, Ed25519PrivateKey)
     assert fallback == sodium
     assert all(ok and not flipped and not longer for _, _, ok, flipped, longer in sodium)
-    assert fallback_ledger.blocks == sodium_ledger.blocks
+    assert fallback_ledger == sodium_ledger
     assert sodium_report.valid and fallback_report.valid
     # a chain signed under libsodium verifies under the fallback
     assert verify_chain(sodium_ledger).valid

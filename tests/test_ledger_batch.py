@@ -31,7 +31,7 @@ from echofeed.ledger import (
     HASH_MISMATCH,
     ZERO_HASH,
     Keypair,
-    Ledger,
+    LedgerBlock,
     PayloadType,
     PortableProfile,
     accounts,
@@ -54,7 +54,7 @@ SIGNER_OF = {kp.public_key: kp for kp in KEYS}
 needs_sodium = pytest.mark.skipif(not SODIUM, reason="libsodium is not loaded")
 
 
-def build_chain(n_blocks: int) -> Ledger:
+def build_chain(n_blocks: int) -> list[LedgerBlock]:
     """Genesis plus n_blocks - 1 signed blocks, round-robin over KEYS."""
     led = new_ledger(timestamp=0)
     for t in range(1, n_blocks):
@@ -135,7 +135,7 @@ def oracle_import_profile(profile: PortableProfile):
 
 
 def chain_outcome(blocks) -> tuple:
-    report = verify_chain(Ledger(blocks))
+    report = verify_chain(blocks)
     return (report.valid, report.bad_index, report.reason)
 
 
@@ -245,10 +245,10 @@ def tampered(data, blocks) -> list:
 )
 @given(data=st.data())
 def test_batched_checks_match_sequential_oracle(chunked, data):
-    assert_matches_oracle(tampered(data, BASE.blocks))
+    assert_matches_oracle(tampered(data, BASE))
     # profiles tampered on their own, so edits hit them directly
     for key in [kp.public_key for kp in KEYS] + [GENESIS_AUTHOR]:
-        own = tampered(data, [b for b in BASE.blocks if b.author == key])
+        own = tampered(data, [b for b in BASE if b.author == key])
         profile = PortableProfile(key, tuple(own))
         assert profile_outcome(profile) == oracle_import_profile(profile)
 
@@ -288,7 +288,7 @@ def with_bad_signature(blocks: list, pos: int) -> None:
 
 @pytest.mark.parametrize("later", ["hash", "link"])
 def test_bad_signature_before_a_structural_fault_wins(chunked, later):
-    blocks = list(BASE.blocks)
+    blocks = list(BASE)
     with_bad_signature(blocks, 5)
     if later == "hash":
         blocks[17] = dataclasses.replace(blocks[17], payload=b"forged")
@@ -301,7 +301,7 @@ def test_bad_signature_before_a_structural_fault_wins(chunked, later):
 def test_lowest_of_two_bad_signatures_in_different_chunks_wins(chunked):
     # 23 signatures in three chunks: blocks 1-7, 8-15 and 16-23; chunk 0
     # runs on the calling thread, so both failures come from the pool
-    blocks = list(BASE.blocks)
+    blocks = list(BASE)
     with_bad_signature(blocks, 20)
     with_bad_signature(blocks, 10)
     assert chain_outcome(blocks) == (False, 10, BAD_SIGNATURE) == oracle_verify_chain(blocks)

@@ -19,7 +19,6 @@ from hypothesis import strategies as st
 from echofeed.errors import ParseError
 from echofeed.ledger import (
     Keypair,
-    Ledger,
     LedgerBlock,
     PayloadType,
     PortableProfile,
@@ -74,7 +73,7 @@ def reference_from_json_dict(doc) -> LedgerBlock:
     )
 
 
-def reference_load_ledger(path) -> Ledger:
+def reference_load_ledger(path) -> list[LedgerBlock]:
     path = Path(path)
     try:
         text = path.read_text(encoding="utf-8")
@@ -89,7 +88,7 @@ def reference_load_ledger(path) -> Ledger:
             blocks.append(reference_from_json_dict(json.loads(line)))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"bad ledger block: {exc}", lineno) from exc
-    return Ledger(blocks)
+    return blocks
 
 
 def reference_load_profile(path) -> PortableProfile:
@@ -114,7 +113,7 @@ def outcome(call):
 
 
 @st.composite
-def chains(draw) -> Ledger:
+def chains(draw) -> list[LedgerBlock]:
     ledger = new_ledger(timestamp=draw(st.integers(0, 2**64 - 1)))
     for step in range(draw(st.integers(0, 4))):
         kp = draw(st.sampled_from(KEYS))
@@ -180,7 +179,7 @@ def line_edits(draw, line: str) -> list[str]:
 @settings(max_examples=300, deadline=None)
 @given(chain=chains(), data=st.data())
 def test_load_ledger_matches_reference(fresh_path, chain, data):
-    lines = [json.dumps(b.to_json_dict(), sort_keys=True) for b in chain.blocks]
+    lines = [json.dumps(b.to_json_dict(), sort_keys=True) for b in chain]
     at = data.draw(st.integers(0, len(lines) - 1))
     lines[at:at + 1] = data.draw(line_edits(lines[at]))
     newline = data.draw(st.sampled_from(["\n", "\r\n"]))
@@ -189,7 +188,7 @@ def test_load_ledger_matches_reference(fresh_path, chain, data):
     path.write_bytes((newline.join(lines) + end).encode("utf-8"))
 
     def blocks(load):
-        return [astuple(b) for b in load(path).blocks]
+        return [astuple(b) for b in load(path)]
 
     assert outcome(lambda: blocks(load_ledger)) == outcome(lambda: blocks(reference_load_ledger))
 
@@ -197,7 +196,7 @@ def test_load_ledger_matches_reference(fresh_path, chain, data):
 @settings(max_examples=150, deadline=None)
 @given(chain=chains(), data=st.data())
 def test_load_profile_matches_reference(fresh_path, chain, data):
-    docs = [b.to_json_dict() for b in chain.blocks]
+    docs = [b.to_json_dict() for b in chain]
     at = data.draw(st.integers(0, len(docs) - 1))
     if data.draw(st.booleans()):
         docs[at] = data.draw(doc_edits(docs[at]))
@@ -227,7 +226,7 @@ json_values = st.recursive(
 
 @settings(max_examples=300, deadline=None)
 @given(
-    base=chains().map(lambda c: c.blocks[-1].to_json_dict()),
+    base=chains().map(lambda c: c[-1].to_json_dict()),
     changes=st.dictionaries(st.sampled_from(FIELDS), json_values, max_size=3),
     dropped=st.sets(st.sampled_from(FIELDS), max_size=2),
     doc=json_values,

@@ -84,13 +84,13 @@ class LedgerMachine(RuleBasedStateMachine):
 
     @invariant()
     def replay_matches_model(self):
-        state = accounts(self.ledger.blocks, self.model)
+        state = accounts(self.ledger, self.model)
         assert state == {key: UserAccount(key, *entry) for key, entry in self.model.items()}
         assert sum(account.token_balance for account in state.values()) == self.minted
 
     @invariant()
     def profiles_match_replay(self):
-        state = accounts(self.ledger.blocks, self.authors)
+        state = accounts(self.ledger, self.authors)
         for key in self.authors:
             assert import_profile(export_profile(self.ledger, key)) == state[key]
 

@@ -28,7 +28,7 @@ VALID = {
     },
     load_profile: {
         "public_key_hex": KEY.public_key.hex(),
-        "blocks": [b.to_json_dict() for b in _chain.blocks],
+        "blocks": [b.to_json_dict() for b in _chain],
     },
     _load_keystore: {"0": "11" * 32, "1": "22" * 32},
 }

@@ -37,7 +37,6 @@ def random_matrix(rng, n_users=6, n_events=8, density=0.4):
 def test_empty_matrix_is_valid():
     m = from_triplets([], 3, 3)
     assert len(m) == 0
-    assert m.density == 0.0
     assert m.n_users == 3 and m.n_events == 3
 
 
