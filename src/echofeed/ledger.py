@@ -197,9 +197,12 @@ def block_hash(canonical: bytes) -> bytes:
 
 def _seal(index, prev_hash, timestamp, author, payload_type, payload, sign) -> LedgerBlock:
     """Every new block is made here: signed by `sign` and hashed over one canonical encoding."""
-    canonical = signing_bytes(index, prev_hash, timestamp, author, payload_type, payload)
+    ts = int(timestamp)
+    if not 0 <= ts < 2**64:
+        raise InvalidPayloadError(f"timestamp must fit an unsigned 64-bit int, got {timestamp}")
+    canonical = signing_bytes(index, prev_hash, ts, author, payload_type, payload)
     return LedgerBlock(
-        index, prev_hash, timestamp, author, payload_type, payload,
+        index, prev_hash, ts, author, payload_type, payload,
         sign(canonical), block_hash(canonical),
     )
 
@@ -236,12 +239,10 @@ def append_event(
     """Sign and append one block; returns it."""
     payload_type = int(payload_type)
     _validate_payload(payload_type, payload)
-    ts = int(timestamp)
-    if not 0 <= ts < 2**64:
-        raise InvalidPayloadError(f"timestamp must fit an unsigned 64-bit int, got {timestamp}")
     prev_hash = ledger[-1].hash if ledger else ZERO_HASH
     block = _seal(
-        len(ledger), prev_hash, ts, keypair.public_key, payload_type, bytes(payload), keypair.sign
+        len(ledger), prev_hash, timestamp, keypair.public_key, payload_type, bytes(payload),
+        keypair.sign,
     )
     ledger.append(block)
     return block

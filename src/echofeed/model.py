@@ -60,10 +60,10 @@ def init_model(
         raise InvalidDimensionError(
             f"need n_users, n_events, k >= 1, got ({n_users}, {n_events}, {k})"
         )
-    if gamma < 0:
-        raise InvalidParameterError(f"gamma must be >= 0, got {gamma}")
-    if scale <= 0:
-        raise InvalidParameterError(f"init scale must be > 0, got {scale}")
+    if not (math.isfinite(gamma) and gamma >= 0):
+        raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma}")
+    if not (math.isfinite(scale) and scale > 0):
+        raise InvalidParameterError(f"init scale must be finite and > 0, got {scale}")
     rng = np.random.default_rng(seed)
     return FactorModel(
         k=k,
@@ -82,15 +82,15 @@ def check_dimensions(model: FactorModel, matrix: RatingMatrix) -> None:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Dot products along the last axis, broadcasting the leading axes.
-
-    The one scoring kernel: predict, top_k, objective and rmse all score
-    through it, so a cell gets the same bits whether it is scored alone, in
-    a row of all events, or among gathered observations. einsum's summation
-    order depends on memory layout, hence the C-contiguous operands (no
-    copy for the arrays this package creates).
+    """Dot products along the last axis, broadcasting the leading axes: the
+    one scoring kernel, behind predict, top_k, objective and rmse. It sums
+    left to right from 0.0 like the SGD step, so a cell's bits depend on
+    neither how it is batched nor BLAS, numpy or memory layout.
     """
-    return np.einsum("...j,...j->...", np.ascontiguousarray(a), np.ascontiguousarray(b))
+    s = 0.0
+    for j in range(a.shape[-1]):
+        s = s + a[..., j] * b[..., j]
+    return s
 
 
 def _residuals(model: FactorModel, matrix: RatingMatrix) -> np.ndarray:

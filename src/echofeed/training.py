@@ -10,9 +10,10 @@ the unhalved analytic gradient of the objective itself.
 
 The step runs on Python lists of floats rather than numpy rows: at the
 small k this model uses, numpy's per-call overhead is most of a step. Its
-dot product is summed left to right in an explicit loop, so trained factors
-do not depend on BLAS, numpy or the Python version (builtin sum() became
-compensated in Python 3.12).
+dot product is summed left to right from 0.0, the sum model._dot scores
+with, so neither factors nor scores depend on BLAS, numpy, array layout or
+the Python version (builtin sum() is compensated from Python 3.12 on). Only
+the objective and rmse totals over observations use numpy reductions.
 """
 
 from __future__ import annotations
@@ -44,12 +45,16 @@ class TrainConfig:
     tolerance: float = 0.0  # relative objective change for early stop; 0 = off
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise InvalidParameterError(f"learning_rate must be > 0, got {self.learning_rate}")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise InvalidParameterError(
+                f"learning_rate must be finite and > 0, got {self.learning_rate}"
+            )
         if self.epochs < 1:
             raise InvalidParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if self.tolerance < 0:
-            raise InvalidParameterError(f"tolerance must be >= 0, got {self.tolerance}")
+        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
+            raise InvalidParameterError(
+                f"tolerance must be finite and >= 0, got {self.tolerance}"
+            )
 
 
 @dataclass
@@ -130,7 +135,7 @@ def gradient_at(model: FactorModel, matrix: RatingMatrix, u: int) -> np.ndarray:
     grad = 2.0 * model.gamma * x
     if mask.any():
         ys = model.event_factors[matrix.events[mask]]
-        errs = matrix.values[mask] - ys @ x
+        errs = _residuals(model, matrix)[mask]
         grad = grad - 2.0 * (errs[:, None] * ys).sum(axis=0)
     return grad
 

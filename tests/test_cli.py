@@ -227,10 +227,15 @@ def test_simulate_negative_rounds_rejected_before_work(tmp_path, capsys):
         (["--accept-value", "nan"], "accept_value must be finite, got nan"),
         (["--accept-value", "inf", "--rounds", 0], "accept_value must be finite, got inf"),
         (["--rec-k", 0], "k_recs must be >= 1, got 0"),
+        (["--lr", "nan"], "learning_rate must be finite and > 0, got nan"),
+        (["--tolerance", "nan"], "tolerance must be finite and >= 0, got nan"),
+        (["--scale", "inf"], "init scale must be finite and > 0, got inf"),
+        (["--gamma", "nan"], "gamma must be finite and >= 0, got nan"),
     ],
     ids=[
         "accept-top", "accept-top-no-rounds", "accept-value", "accept-value-nan",
-        "accept-value-inf-no-rounds", "rec-k",
+        "accept-value-inf-no-rounds", "rec-k", "lr-nan", "tolerance-nan", "scale-inf",
+        "gamma-nan",
     ],
 )
 def test_simulate_bad_round_flags_rejected_before_work(
@@ -243,6 +248,25 @@ def test_simulate_bad_round_flags_rejected_before_work(
     out = tmp_path / "metrics.json"
     code, _, err = run(capsys, "simulate", *flags, "--out", out)
     assert code == 1
+    assert err == f"error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--lr", "inf"], "learning_rate must be finite and > 0, got inf"),
+        (["--tolerance", "nan"], "tolerance must be finite and >= 0, got nan"),
+        (["--scale", "nan"], "init scale must be finite and > 0, got nan"),
+        (["--gamma", "inf"], "gamma must be finite and >= 0, got inf"),
+    ],
+    ids=["lr-inf", "tolerance-nan", "scale-nan", "gamma-inf"],
+)
+def test_train_non_finite_flags_are_domain_errors(tmp_path, capsys, matrix_csv, flags, message):
+    out = tmp_path / "m.json"
+    code, stdout, err = run(capsys, "train", matrix_csv, "--out", out, *flags)
+    assert code == 1
+    assert stdout == ""
     assert err == f"error: {message}\n"
     assert not out.exists()
 
@@ -270,6 +294,17 @@ def test_ledger_init_verify(tmp_path, capsys):
     code, stdout, _ = run(capsys, "ledger", "verify", ledger)
     assert code == 0
     assert stdout.strip() == "valid"
+
+
+@pytest.mark.parametrize("timestamp", [-1, 2**64])
+def test_ledger_init_bad_timestamp_is_a_domain_error(tmp_path, capsys, timestamp):
+    code, stdout, err = run(
+        capsys, "ledger", "init", "--out", tmp_path / "chain.jsonl", "--timestamp", timestamp
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: timestamp must fit an unsigned 64-bit int, got {timestamp}\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_ledger_append_and_tamper_detection(tmp_path, capsys, consent_env):

@@ -114,6 +114,12 @@ def test_append_rejects_bad_payloads():
     assert len(led) == 1
 
 
+@pytest.mark.parametrize("timestamp", [-1, 2**64])
+def test_new_ledger_rejects_timestamp_outside_u64(timestamp):
+    with pytest.raises(InvalidPayloadError, match="timestamp must fit an unsigned 64-bit int"):
+        new_ledger(timestamp)
+
+
 def test_credit_rejects_negative_amount():
     led = new_ledger()
     with pytest.raises(InvalidPayloadError):

@@ -65,6 +65,12 @@ def test_init_rejects_bad_gamma_and_scale():
         init_model(2, 2, 1, gamma=-0.5, seed=0)
     with pytest.raises(InvalidParameterError):
         init_model(2, 2, 1, gamma=0.0, seed=0, scale=0.0)
+    for gamma in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="gamma must be finite and >= 0"):
+            init_model(2, 2, 1, gamma=gamma, seed=0)
+    for scale in (math.nan, math.inf):
+        with pytest.raises(InvalidParameterError, match="init scale must be finite and > 0"):
+            init_model(2, 2, 1, gamma=0.0, seed=0, scale=scale)
 
 
 # --- predict ---
@@ -133,6 +139,11 @@ def test_objective_one_cell_is_predict_residual(k, seed, r, order):
     m = FactorModel(k=k, gamma=0.0, user_factors=uf, event_factors=ef)
     matrix = from_triplets([(0, 0, r)], 2, 2)
     resid = r - predict(m, 0, 0)
+    # exact: predict sums left to right from 0.0 like the SGD step's Python loop
+    dot = 0.0
+    for a, b in zip(uf[0].tolist(), ef[0].tolist()):
+        dot = dot + a * b
+    assert predict(m, 0, 0) == dot
     # exact: objective and rmse score cells with the same kernel as predict
     # (a product, not ** 2: libm's pow is not always correctly rounded)
     assert objective(m, matrix) == resid * resid

@@ -12,7 +12,7 @@ from echofeed.errors import (
     InvalidParameterError,
     NonFiniteUpdateError,
 )
-from echofeed.model import FactorModel, init_model, l2_penalty, objective
+from echofeed.model import FactorModel, init_model, l2_penalty, objective, predict
 from echofeed import training
 from echofeed.ratings import from_triplets
 from echofeed.training import (
@@ -61,7 +61,11 @@ def random_setup(rng, gamma):
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"learning_rate": 0.0}, {"learning_rate": -1.0}, {"epochs": 0}, {"tolerance": -0.1}],
+    [
+        {"learning_rate": 0.0}, {"learning_rate": -1.0}, {"epochs": 0}, {"tolerance": -0.1},
+        {"learning_rate": math.nan}, {"learning_rate": math.inf},
+        {"tolerance": math.nan}, {"tolerance": math.inf},
+    ],
 )
 def test_config_validation(kwargs):
     with pytest.raises(InvalidParameterError):
@@ -332,14 +336,19 @@ def test_train_gamma_shrinks_factors():
 # --- the list kernel against references ---
 
 
+def left_to_right_dot(x, y):
+    """The SGD step's dot product: a sum from 0.0, left to right."""
+    pred = 0.0
+    for j in range(len(x)):
+        pred = pred + x[j] * y[j]
+    return pred
+
+
 def reference_step(uf, ef, u, i, r, lr, gamma):
     """The SGD update written out entry by entry, its dot product summed
     left to right."""
     x, y = uf[u], ef[i]
-    pred = 0.0
-    for j in range(len(x)):
-        pred = pred + x[j] * y[j]
-    e = r - pred
+    e = r - left_to_right_dot(x, y)
     uf[u] = [x[j] + lr * (e * y[j] - gamma * x[j]) for j in range(len(x))]
     ef[i] = [y[j] + lr * (e * x[j] - gamma * y[j]) for j in range(len(y))]
 
@@ -403,6 +412,9 @@ def test_train_matches_left_to_right_oracle(case):
     uf, ef = replay(model, matrix, config, reference_step, lambda a: a.tolist())
     assert np.array_equal(trained.user_factors, uf)
     assert np.array_equal(trained.event_factors, ef)
+    # scoring uses the step's sum too, so a trained cell scores as it trained
+    for u, i in zip(matrix.users.tolist(), matrix.events.tolist()):
+        assert predict(trained, u, i) == left_to_right_dot(uf[u].tolist(), ef[i].tolist())
 
 
 @settings(max_examples=40, deadline=None)
@@ -435,7 +447,6 @@ def test_rmse_matches_brute_force():
     model, matrix = random_setup(rng, 0.0)
     if not len(matrix):
         matrix = from_triplets([(0, 0, 1.0)], model.n_users, model.n_events)
-    from echofeed.model import predict
 
     total = 0.0
     for u, i, r in zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist()):
