@@ -189,14 +189,13 @@ def cmd_simulate(args) -> int:
         args.users, args.events, args.communities, args.in_rate, args.cross_rate, args.seed
     )
     train_m, test_m = split_holdout(matrix, args.holdout, args.seed)
+    # train never modifies its input, so every round starts from this model
+    fresh = init_model(args.users, args.events, args.k, args.gamma, args.seed, args.scale)
     rows = []
     model = None
     for rnd in range(args.rounds + 1):
         if rnd > 0:
             train_m = engagement_round(train_m, model, args.accept_top, args.accept_value)
-        fresh = init_model(
-            args.users, args.events, args.k, args.gamma, args.seed, args.scale
-        )
         model, _ = train(fresh, train_m, config)
         recs = [
             top_k(model, train_m, u, args.rec_k, exclude_observed=False)
@@ -408,7 +407,8 @@ def main(argv=None) -> int:
     }
     try:
         return handlers[args.command](args)
-    except (EchoFeedError, OSError) as exc:
+    # MemoryError: a dense array the flags ask for (say --k 10**17) cannot be allocated
+    except (EchoFeedError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -14,12 +14,11 @@ import numpy as np
 from ._atomic import atomic_write
 from .errors import (
     DimensionMismatchError,
-    IndexOutOfRangeError,
     InvalidDimensionError,
     InvalidParameterError,
     ParseError,
 )
-from .ratings import RatingMatrix
+from .ratings import RatingMatrix, check_index
 
 
 @dataclass(eq=False)
@@ -30,10 +29,13 @@ class FactorModel:
     private copy. Everything else treats a model as read-only.
     """
 
-    k: int
     gamma: float
     user_factors: np.ndarray = field(repr=False)
     event_factors: np.ndarray = field(repr=False)
+
+    @property
+    def k(self) -> int:
+        return self.user_factors.shape[1]
 
     @property
     def n_users(self) -> int:
@@ -44,12 +46,19 @@ class FactorModel:
         return self.event_factors.shape[0]
 
     def copy(self) -> "FactorModel":
-        return FactorModel(
-            k=self.k,
-            gamma=self.gamma,
+        return replace(
+            self,
             user_factors=self.user_factors.copy(),
             event_factors=self.event_factors.copy(),
         )
+
+
+def _rng(seed: int) -> np.random.Generator:
+    """numpy's default generator for a seed, refusing the negative seeds
+    numpy rejects with a bare ValueError."""
+    if seed < 0:
+        raise InvalidParameterError(f"seed must be >= 0, got {seed}")
+    return np.random.default_rng(seed)
 
 
 def init_model(
@@ -64,9 +73,8 @@ def init_model(
         raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma}")
     if not (math.isfinite(scale) and scale > 0):
         raise InvalidParameterError(f"init scale must be finite and > 0, got {scale}")
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     return FactorModel(
-        k=k,
         gamma=float(gamma),
         user_factors=rng.uniform(-scale, scale, size=(n_users, k)),
         event_factors=rng.uniform(-scale, scale, size=(n_events, k)),
@@ -102,10 +110,8 @@ def _residuals(model: FactorModel, matrix: RatingMatrix) -> np.ndarray:
 
 def predict(model: FactorModel, u: int, i: int) -> float:
     """Predicted engagement for (user u, event i): the factor dot product."""
-    if not 0 <= u < model.n_users:
-        raise IndexOutOfRangeError(f"user index {u} outside [0, {model.n_users})")
-    if not 0 <= i < model.n_events:
-        raise IndexOutOfRangeError(f"event index {i} outside [0, {model.n_events})")
+    check_index("user", u, model.n_users)
+    check_index("event", i, model.n_events)
     return float(_dot(model.user_factors[u], model.event_factors[i]))
 
 
@@ -160,4 +166,4 @@ def load_model(path: str | Path) -> FactorModel:
         raise InvalidParameterError(f"{path}: gamma must be finite and >= 0, got {gamma}")
     if not (np.isfinite(uf).all() and np.isfinite(ef).all()):
         raise ParseError(f"{path}: factor entries must be finite")
-    return FactorModel(k=k, gamma=gamma, user_factors=uf, event_factors=ef)
+    return FactorModel(gamma=gamma, user_factors=uf, event_factors=ef)

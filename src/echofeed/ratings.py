@@ -71,16 +71,20 @@ class RatingMatrix:
         return len(self.values)
 
 
+def check_index(kind: str, index: int, n: int) -> None:
+    """Raise IndexOutOfRangeError unless 0 <= index < n; kind names the axis."""
+    if not 0 <= index < n:
+        raise IndexOutOfRangeError(f"{kind} index {index} outside [0, {n})")
+
+
 def _check_triplet(triplet, n_users, n_events) -> tuple[int, int, float]:
     """The triplet converted with int() and float(), checked in reporting
     order: unpacking, conversion, index range, value, int64 fit."""
     user, event, value = triplet
     user = int(user)
     event = int(event)
-    if not 0 <= user < n_users:
-        raise IndexOutOfRangeError(f"user index {user} outside [0, {n_users})")
-    if not 0 <= event < n_events:
-        raise IndexOutOfRangeError(f"event index {event} outside [0, {n_events})")
+    check_index("user", user, n_users)
+    check_index("event", event, n_events)
     value = float(value)
     if not math.isfinite(value) or value < 0:
         raise InvalidValueError(f"rating value must be finite and >= 0, got {value}")

@@ -17,8 +17,8 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidParameterError,
 )
-from .model import FactorModel, _dot, check_dimensions
-from .ratings import RatingMatrix
+from .model import FactorModel, _dot, _rng, check_dimensions
+from .ratings import RatingMatrix, _build, check_index
 
 
 @dataclass(frozen=True)
@@ -68,8 +68,7 @@ def top_k(
     requested, all of them are returned.
     """
     check_dimensions(model, matrix)
-    if not 0 <= u < model.n_users:
-        raise IndexOutOfRangeError(f"user index {u} outside [0, {model.n_users})")
+    check_index("user", u, model.n_users)
     check_k_recs(k_recs)
     scores = _dot(model.event_factors, model.user_factors[u])
     candidates = np.arange(model.n_events)
@@ -110,7 +109,7 @@ def synth_community_matrix(
     event_labels = np.arange(n_events) % n_communities
     same = user_labels[:, None] == event_labels[None, :]
 
-    rng = np.random.default_rng(seed)
+    rng = _rng(seed)
     observed = rng.random((n_users, n_events)) < np.where(same, in_rate, cross_rate)
     values = np.where(
         same,
@@ -172,7 +171,4 @@ def engagement_round(
     users = np.concatenate((matrix.users, np.array(new_users, dtype=np.int64)))
     events = np.concatenate((matrix.events, np.array(new_events, dtype=np.int64)))
     values = np.concatenate((matrix.values, np.full(len(new_users), float(accept_value))))
-    order = np.lexsort((events, users))
-    return RatingMatrix(
-        matrix.n_users, matrix.n_events, users[order], events[order], values[order]
-    )
+    return _build(users, events, values, matrix.n_users, matrix.n_events)

@@ -24,14 +24,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import (
-    EmptyMatrixError,
-    IndexOutOfRangeError,
-    InvalidParameterError,
-    NonFiniteUpdateError,
-)
+from .errors import EmptyMatrixError, InvalidParameterError, NonFiniteUpdateError
 from .model import FactorModel, _residuals, check_dimensions, objective
-from .ratings import RatingMatrix
+from .ratings import RatingMatrix, check_index
 
 
 @dataclass(frozen=True)
@@ -60,8 +55,11 @@ class TrainConfig:
 @dataclass
 class TrainReport:
     loss_history: list[float] = field(default_factory=list)
-    epochs_run: int = 0
     stopped_early: bool = False
+
+    @property
+    def epochs_run(self) -> int:
+        return len(self.loss_history)
 
     def to_dict(self) -> dict:
         return {
@@ -102,10 +100,8 @@ def sgd_step(model: FactorModel, u: int, i: int, value: float, learning_rate: fl
     Returns the same model object with rows u and i updated; all other
     rows are untouched.
     """
-    if not 0 <= u < model.n_users:
-        raise IndexOutOfRangeError(f"user index {u} outside [0, {model.n_users})")
-    if not 0 <= i < model.n_events:
-        raise IndexOutOfRangeError(f"event index {i} outside [0, {model.n_events})")
+    check_index("user", u, model.n_users)
+    check_index("event", i, model.n_events)
     nx, ny = _apply_step(
         {u: model.user_factors[u].tolist()},
         {i: model.event_factors[i].tolist()},
@@ -128,8 +124,7 @@ def gradient_at(model: FactorModel, matrix: RatingMatrix, u: int) -> np.ndarray:
     Testing hook; training never calls this.
     """
     check_dimensions(model, matrix)
-    if not 0 <= u < model.n_users:
-        raise IndexOutOfRangeError(f"user index {u} outside [0, {model.n_users})")
+    check_index("user", u, model.n_users)
     mask = matrix.users == u
     x = model.user_factors[u]
     grad = 2.0 * model.gamma * x
@@ -180,7 +175,6 @@ def train(
         work.event_factors = np.array(ef, dtype=np.float64)
         loss = objective(work, matrix)
         report.loss_history.append(loss)
-        report.epochs_run = epoch
         if config.tolerance > 0 and epoch >= 2:
             prev = report.loss_history[-2]
             delta = abs(loss - prev)

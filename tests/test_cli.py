@@ -141,6 +141,29 @@ def test_train_with_no_consenting_users_fails(tmp_path, capsys, matrix_csv):
     assert "no observations" in err
 
 
+def test_train_with_no_consenting_users_leaves_the_ledger_unchanged(tmp_path, capsys, matrix_csv):
+    ledger = tmp_path / "chain.jsonl"
+    keys = tmp_path / "keys.json"
+    run(capsys, "ledger", "init", "--out", ledger, "--keys", keys,
+        "--users", 10, "--timestamp", 100)
+    before = ledger.read_bytes()
+    code, _, _ = run(
+        capsys, "train", matrix_csv, "--out", tmp_path / "m.json",
+        "--ledger", ledger, "--keys", keys, "--timestamp", 300,
+    )
+    assert code == 1
+    assert ledger.read_bytes() == before
+
+
+def test_train_ledger_without_keys_is_usage_error(tmp_path, capsys, matrix_csv):
+    ledger = tmp_path / "chain.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        main(["train", str(matrix_csv), "--out", str(tmp_path / "m.json"), "--ledger", str(ledger)])
+    assert exc.value.code == 2
+    assert "--ledger requires --keys" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+
+
 def test_eval_prints_rmse(tmp_path, capsys, matrix_csv):
     model = tmp_path / "model.json"
     run(capsys, "train", matrix_csv, "--out", model, "--epochs", 30)
@@ -284,6 +307,39 @@ def test_train_negative_reward_rejected_before_work(tmp_path, capsys, matrix_csv
     assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
+def tiny_run_args(command, tmp_path):
+    """The input arguments of a two-user train or simulate run."""
+    if command == "simulate":
+        return ["--users", 2, "--events", 2, "--epochs", 1, "--rounds", 1]
+    matrix = tmp_path / "tiny.csv"
+    matrix.write_text("0,0,1.0\n1,1,2.0\n")
+    return [matrix, "--epochs", 1]
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+def test_negative_seed_is_a_domain_error(tmp_path, capsys, command):
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, command, *tiny_run_args(command, tmp_path),
+                            "--seed", -1, "--out", out)
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: seed must be >= 0, got -1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["train", "simulate"])
+def test_unallocatable_width_is_a_domain_error(tmp_path, capsys, command):
+    # two users at k = 10**17 need about 1.6 EB, which no allocator can map
+    out = tmp_path / "out.json"
+    code, stdout, err = run(capsys, command, *tiny_run_args(command, tmp_path),
+                            "--k", 10**17, "--out", out)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith("error: Unable to allocate ")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # --- ledger subcommands ---
 
 
@@ -333,6 +389,19 @@ def test_ledger_credit_append(tmp_path, capsys, consent_env):
     assert code == 0
     code, out, _ = run(capsys, "ledger", "balance", ledger, "--keys", keys, "--user", 4)
     assert out.strip() == "9"
+
+
+def test_ledger_credit_too_large_leaves_the_ledger_unchanged(tmp_path, capsys, consent_env):
+    ledger, keys = consent_env
+    before = ledger.read_bytes()
+    code, stdout, err = run(
+        capsys, "ledger", "append", ledger, "--keys", keys, "--user", 4,
+        "--type", "credit", "--amount", 2**64, "--timestamp", 600,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: token amount too large for 8 bytes: {2**64}\n"
+    assert ledger.read_bytes() == before
 
 
 def test_ledger_post_payload_bytes_round_trip(tmp_path, capsys, consent_env):

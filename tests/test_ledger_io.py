@@ -19,6 +19,7 @@ from echofeed.ledger import (
     Keypair,
     LedgerBlock,
     PayloadType,
+    append_blocks,
     append_event,
     export_profile,
     load_ledger,
@@ -212,3 +213,14 @@ def test_failed_write_leaves_old_file(tmp_path, monkeypatch, capsys, setup):
         write()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+def test_appending_no_blocks_leaves_the_file_alone(tmp_path):
+    path = tmp_path / "chain.jsonl"
+    save_ledger(new_ledger(100), path)
+    before = path.read_bytes()
+    append_blocks([], path)
+    assert path.read_bytes() == before
+    missing = tmp_path / "missing.jsonl"
+    append_blocks([], missing)
+    assert not missing.exists()

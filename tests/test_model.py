@@ -28,7 +28,7 @@ from echofeed.training import rmse
 def manual_model(user_rows, event_rows, gamma=0.0):
     uf = np.array(user_rows, dtype=float)
     ef = np.array(event_rows, dtype=float)
-    return FactorModel(k=uf.shape[1], gamma=gamma, user_factors=uf, event_factors=ef)
+    return FactorModel(gamma=gamma, user_factors=uf, event_factors=ef)
 
 
 # --- init ---
@@ -136,7 +136,7 @@ def test_objective_single_residual():
 def test_objective_one_cell_is_predict_residual(k, seed, r, order):
     rng = np.random.default_rng(seed)
     uf, ef = (np.asarray(rng.normal(size=(2, k)), order=order) for _ in range(2))
-    m = FactorModel(k=k, gamma=0.0, user_factors=uf, event_factors=ef)
+    m = FactorModel(gamma=0.0, user_factors=uf, event_factors=ef)
     matrix = from_triplets([(0, 0, r)], 2, 2)
     resid = r - predict(m, 0, 0)
     # exact: predict sums left to right from 0.0 like the SGD step's Python loop
@@ -199,7 +199,6 @@ def test_objective_rotation_invariant():
             [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
         )
         rotated = FactorModel(
-            k=2,
             gamma=0.7,
             user_factors=model.user_factors @ rot,
             event_factors=model.event_factors @ rot,
@@ -242,6 +241,22 @@ def test_model_json_round_trip_exact(tmp_path):
     assert np.array_equal(back.event_factors, model.event_factors)
 
 
+@pytest.mark.parametrize("k", range(1, 9))
+def test_model_width_is_read_from_the_factor_arrays(tmp_path, k):
+    rng = np.random.default_rng(k)
+    model = FactorModel(
+        gamma=0.5, user_factors=rng.normal(size=(3, k)), event_factors=rng.normal(size=(4, k))
+    )
+    assert model.k == k
+    assert model.copy().k == k
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    save_model(model, first)
+    back = load_model(first)
+    assert back.k == k
+    save_model(back, second)
+    assert second.read_bytes() == first.read_bytes()
+
+
 @pytest.mark.parametrize(
     "text",
     ["{not json", '{"k": ' + "[" * 100_000 + "]" * 100_000 + "}", '{"k": 1e400}'],
@@ -258,4 +273,11 @@ def test_load_model_rejects_inconsistent_shapes(tmp_path):
     p = tmp_path / "bad.json"
     p.write_text('{"k": 2, "gamma": 0.0, "user_factors": [[1.0]], "event_factors": [[1.0, 2.0]]}')
     with pytest.raises(DimensionMismatchError):
+        load_model(p)
+
+
+def test_load_model_rejects_zero_width(tmp_path):
+    p = tmp_path / "bad.json"
+    p.write_text('{"k": 0, "gamma": 0.0, "user_factors": [[]], "event_factors": [[]]}')
+    with pytest.raises(InvalidDimensionError, match="k must be >= 1, got 0"):
         load_model(p)

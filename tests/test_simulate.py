@@ -27,7 +27,7 @@ from echofeed.training import TrainConfig, train
 def manual_model(user_rows, event_rows, gamma=0.0):
     uf = np.array(user_rows, dtype=float)
     ef = np.array(event_rows, dtype=float)
-    return FactorModel(k=uf.shape[1], gamma=gamma, user_factors=uf, event_factors=ef)
+    return FactorModel(gamma=gamma, user_factors=uf, event_factors=ef)
 
 
 # --- top_k ---
@@ -68,7 +68,7 @@ def test_top_k_matches_full_sort_oracle(shape, seed, k_recs, exclude_observed, d
         ef[dst] = ef[src]
     if data.draw(st.booleans()):
         uf[-1] = 0.0  # every score of the last user is a signed zero
-    model = FactorModel(k=k, gamma=0.0, user_factors=uf, event_factors=ef)
+    model = FactorModel(gamma=0.0, user_factors=uf, event_factors=ef)
     observed = data.draw(st.sets(st.tuples(st.integers(0, n_users - 1), event)))
     if data.draw(st.booleans()):
         observed |= {(0, i) for i in range(n_events)}  # user 0 has seen every event
@@ -243,6 +243,12 @@ def test_fragmentation_unlabeled_event_rejected():
     labels = two_community_labels(2, 2)
     with pytest.raises(IndexOutOfRangeError):
         fragmentation_index([RecommendationList(0, (5,), (0.0,))], labels)
+
+
+def test_fragmentation_unlabeled_user_rejected():
+    labels = two_community_labels(2, 2)
+    with pytest.raises(IndexOutOfRangeError, match="user 2 has no community label"):
+        fragmentation_index([RecommendationList(2, (0,), (0.0,))], labels)
 
 
 # --- engagement rounds ---

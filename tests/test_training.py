@@ -17,6 +17,7 @@ from echofeed import training
 from echofeed.ratings import from_triplets
 from echofeed.training import (
     TrainConfig,
+    TrainReport,
     gradient_at,
     rmse,
     sgd_step,
@@ -27,7 +28,7 @@ from echofeed.training import (
 def manual_model(user_rows, event_rows, gamma=0.0):
     uf = np.array(user_rows, dtype=float)
     ef = np.array(event_rows, dtype=float)
-    return FactorModel(k=uf.shape[1], gamma=gamma, user_factors=uf, event_factors=ef)
+    return FactorModel(gamma=gamma, user_factors=uf, event_factors=ef)
 
 
 def finite_diff_user_grad(model, matrix, u, h=1e-5):
@@ -140,6 +141,12 @@ def test_step_index_out_of_range():
     model = manual_model([[1.0]], [[1.0]])
     with pytest.raises(IndexOutOfRangeError):
         sgd_step(model, 1, 0, 4.0, learning_rate=0.1)
+
+
+def test_step_event_index_out_of_range():
+    model = manual_model([[1.0]], [[1.0]])
+    with pytest.raises(IndexOutOfRangeError, match=r"event index 1 outside \[0, 1\)"):
+        sgd_step(model, 0, 1, 4.0, learning_rate=0.1)
 
 
 def test_step_detects_non_finite():
@@ -309,6 +316,14 @@ def test_train_early_stop():
     assert report.stopped_early
     assert report.epochs_run < 500
     assert len(report.loss_history) == report.epochs_run
+
+
+def test_report_epochs_run_is_the_loss_history_length():
+    report = TrainReport(loss_history=[2.0, 1.0])
+    assert report.epochs_run == 2
+    assert list(report.to_dict().items()) == [
+        ("loss_history", [2.0, 1.0]), ("epochs_run", 2), ("stopped_early", False)
+    ]
 
 
 def test_train_divergence_reports_context():
