@@ -6,13 +6,17 @@ measured on, which matters when validating long chains. Ed25519 signatures
 are deterministic (RFC 8032), so both backends produce byte-identical
 output; the fallback keeps the package working without libsodium.
 
-first_invalid checks a batch of signatures. Each check is independent, and
-ctypes releases the interpreter lock for the length of a libsodium call, so
-on libsodium a batch of at least PARALLEL_FLOOR signatures is split into one
-contiguous chunk per CPU this process may run on, and the chunks run at
-once on a lazily started thread pool. The cryptography fallback holds the
-lock while it verifies, so threads only add hand-offs there: it, a short
-batch and a single CPU stay on the calling thread.
+first_invalid checks a batch of signatures. _valid is the one
+per-signature check (verify calls it too) and _first_invalid_in the one
+loop that runs it over a range of the batch. Each check is independent,
+and ctypes releases the interpreter lock for the length of a libsodium
+call, so on libsodium a batch of at least PARALLEL_FLOOR signatures is
+split into one contiguous chunk per CPU this process may run on, and the
+chunks run at once on a lazily started thread pool. The cryptography
+fallback holds the lock while it verifies, so threads only add hand-offs
+there: it, a short batch and a single CPU stay on the calling thread. Pool
+threads call only these private functions, never verify or sign, so a
+caller may wrap the public ones with code that is not thread-safe.
 """
 
 from __future__ import annotations
@@ -94,12 +98,13 @@ def sign(signing_key, message: bytes) -> bytes:
     return sig.raw
 
 
-def verify(public_key: bytes, signature: bytes, message: bytes) -> bool:
-    """True iff signature is a valid detached signature by public_key."""
-    if _sodium is not None:
-        return _sodium_valid(public_key, signature, message)
+def _valid(public_key: bytes, signature: bytes, message: bytes) -> bool:
+    # libsodium reads exactly 32 and 64 bytes behind these pointers
     if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
         return False
+    if _sodium is not None:
+        return _sodium.crypto_sign_ed25519_verify_detached(
+            signature, message, len(message), public_key) == 0
     try:
         Ed25519PublicKey.from_public_bytes(public_key).verify(signature, message)
         return True
@@ -107,17 +112,14 @@ def verify(public_key: bytes, signature: bytes, message: bytes) -> bool:
         return False
 
 
-def _sodium_valid(public_key: bytes, signature: bytes, message: bytes) -> bool:
-    # libsodium reads exactly 32 and 64 bytes behind these pointers
-    if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
-        return False
-    return _sodium.crypto_sign_ed25519_verify_detached(
-        signature, message, len(message), public_key) == 0
+def verify(public_key: bytes, signature: bytes, message: bytes) -> bool:
+    """True iff signature is a valid detached signature by public_key."""
+    return _valid(public_key, signature, message)
 
 
-def _sodium_first_invalid(items, start: int, stop: int) -> int | None:
+def _first_invalid_in(items, start: int, stop: int) -> int | None:
     for pos in range(start, stop):
-        if not _sodium_valid(*items[pos]):
+        if not _valid(*items[pos]):
             return pos
     return None
 
@@ -159,19 +161,16 @@ def first_invalid(items: Sequence[tuple[bytes, bytes, bytes]]) -> int | None:
     """
     cpus = _cpus()
     if _sodium is None or len(items) < PARALLEL_FLOOR or cpus == 1:
-        for pos, (public_key, signature, message) in enumerate(items):
-            if not verify(public_key, signature, message):
-                return pos
-        return None
+        return _first_invalid_in(items, 0, len(items))
     chunks = min(cpus, len(items))
     bounds = [len(items) * c // chunks for c in range(chunks + 1)]
     pool = _executor(cpus - 1)
     futures = [
-        pool.submit(_sodium_first_invalid, items, bounds[c], bounds[c + 1])
+        pool.submit(_first_invalid_in, items, bounds[c], bounds[c + 1])
         for c in range(1, chunks)
     ]
     # the calling thread takes chunk 0; a chunk stops at its own first
     # failure and the lowest failing position wins
-    found = [_sodium_first_invalid(items, 0, bounds[1])]
+    found = [_first_invalid_in(items, 0, bounds[1])]
     found += [f.result() for f in futures]
     return min((pos for pos in found if pos is not None), default=None)

@@ -123,8 +123,7 @@ def cmd_ingest(args) -> int:
 
 def cmd_train(args) -> int:
     config = _train_config(args)
-    if args.reward < 0:
-        raise InvalidParameterError(f"--reward must be >= 0, got {args.reward}")
+    led.check_token_amount(args.reward)
     matrix = load_csv(args.matrix)
     ledger_obj = None
     keystore = None
@@ -226,6 +225,9 @@ def cmd_simulate(args) -> int:
 def cmd_ledger(args) -> int:
     action = args.action
     if action == "init":
+        # keystore indices name ratings users, whose indices are int64
+        if args.users >= 2**63:
+            raise InvalidParameterError(f"--users must fit in int64, got {args.users}")
         chain = led.new_ledger(_now_or(args.timestamp))
         led.save_ledger(chain, args.out)
         if args.users:

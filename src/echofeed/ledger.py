@@ -256,30 +256,28 @@ def set_consent(
     return append_event(ledger, keypair, ptype, b"", timestamp)
 
 
+def check_token_amount(amount: int) -> None:
+    """Raise InvalidPayloadError unless amount fits a TokenCredit payload."""
+    if amount < 0:
+        raise InvalidPayloadError(f"token amount must be >= 0, got {amount}")
+    if amount >= 2**64:
+        raise InvalidPayloadError(f"token amount too large for 8 bytes: {amount}")
+
+
 def credit_tokens(
     ledger: list[LedgerBlock], keypair: Keypair, amount: int, timestamp: int
 ) -> LedgerBlock:
     """Record a reward of `amount` tokens to the keypair's account."""
     amount = int(amount)
-    if amount < 0:
-        raise InvalidPayloadError(f"token amount must be >= 0, got {amount}")
-    if amount >= 2**64:
-        raise InvalidPayloadError(f"token amount too large for 8 bytes: {amount}")
+    check_token_amount(amount)
     return append_event(
         ledger, keypair, PayloadType.TOKEN_CREDIT, amount.to_bytes(8, "big"), timestamp
     )
 
 
-def _check_block(block: LedgerBlock) -> str | tuple[bytes, bytes, bytes] | None:
-    """The fault a block shows on its own, without its neighbours, or the
-    signature check it still needs.
-
-    HASH_MISMATCH if its fields do not encode or do not hash to its
-    `hash`. A genesis-authored block is settled here: BAD_SIGNATURE unless
-    it is the pinned unsigned genesis block, which gives None. Any other
-    block gives the (author, signature, canonical bytes) triple that
-    _ed25519.first_invalid checks.
-    """
+def _canonical(block: LedgerBlock) -> bytes | None:
+    """The block's canonical bytes, or None when its fields do not encode
+    or do not hash to its `hash`."""
     try:
         canonical = signing_bytes(
             block.index,
@@ -291,16 +289,8 @@ def _check_block(block: LedgerBlock) -> str | tuple[bytes, bytes, bytes] | None:
         )
     except (struct.error, ValueError):
         # unencodable fields cannot hash to anything, let alone match
-        return HASH_MISMATCH
-    if block_hash(canonical) != block.hash:
-        return HASH_MISMATCH
-    if block.author == GENESIS_AUTHOR:
-        # only the genesis block may be unsigned, and its placeholder
-        # signature is pinned so it is as tamper-evident as the rest
-        if block.index != 0 or block.signature != EMPTY_SIGNATURE:
-            return BAD_SIGNATURE
         return None
-    return (block.author, block.signature, canonical)
+    return canonical if block_hash(canonical) == block.hash else None
 
 
 def verify_chain(ledger: list[LedgerBlock]) -> ChainReport:
@@ -316,20 +306,22 @@ def verify_chain(ledger: list[LedgerBlock]) -> ChainReport:
     signed_at: list[int] = []
     fault = None
     for pos, block in enumerate(ledger):
-        check = _check_block(block)
-        if check == HASH_MISMATCH:
+        canonical = _canonical(block)
+        if canonical is None:
             fault = ChainReport(False, pos, HASH_MISMATCH)
         elif block.prev_hash != prev:
             fault = ChainReport(False, pos, BROKEN_LINK)
         elif block.index != pos:
             fault = ChainReport(False, pos, BAD_INDEX)
-        elif check == BAD_SIGNATURE:
+        elif block.author != GENESIS_AUTHOR:
+            triples.append((block.author, block.signature, canonical))
+            signed_at.append(pos)
+        elif pos != 0 or block.signature != EMPTY_SIGNATURE:
+            # only the genesis block may be unsigned, and its placeholder
+            # signature is pinned so it is as tamper-evident as the rest
             fault = ChainReport(False, pos, BAD_SIGNATURE)
         if fault is not None:
             break
-        if check is not None:
-            triples.append(check)
-            signed_at.append(pos)
         prev = block.hash
     bad = _ed25519.first_invalid(triples)
     if bad is not None:
@@ -400,20 +392,19 @@ def import_profile(profile: PortableProfile) -> UserAccount:
     fault = None
     last_index = -1
     for block in profile.blocks:
+        canonical = _canonical(block)
         if block.author != profile.public_key:
             fault = f"block {block.index} authored by a different key"
-            break
-        check = _check_block(block)
-        if check == HASH_MISMATCH:
+        elif canonical is None:
             fault = f"block {block.index}: hash mismatch"
-            break
-        # the genesis key signs nothing, so a profile under it proves nothing
-        if not isinstance(check, tuple):
+        elif block.author == GENESIS_AUTHOR:
+            # the genesis key signs nothing, so a profile under it proves nothing
             fault = f"block {block.index}: bad signature"
-            break
-        triples.append(check)
-        if block.index <= last_index:
-            fault = f"block {block.index}: out of order"
+        else:
+            triples.append((block.author, block.signature, canonical))
+            if block.index <= last_index:
+                fault = f"block {block.index}: out of order"
+        if fault is not None:
             break
         last_index = block.index
     bad = _ed25519.first_invalid(triples)

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -61,6 +62,13 @@ def _rng(seed: int) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def check_dense(what: str, rows: int, cols: int) -> None:
+    """Raise InvalidDimensionError when a rows x cols float64 array holds
+    more bytes than numpy can address, before numpy is asked to make it."""
+    if rows * cols * 8 > np.iinfo(np.intp).max:
+        raise InvalidDimensionError(f"{what} of {rows}x{cols} float64 cells cannot be allocated")
+
+
 def init_model(
     n_users: int, n_events: int, k: int, gamma: float, seed: int, scale: float = 0.1
 ) -> FactorModel:
@@ -69,10 +77,17 @@ def init_model(
         raise InvalidDimensionError(
             f"need n_users, n_events, k >= 1, got ({n_users}, {n_events}, {k})"
         )
+    check_dense("user factors", n_users, k)
+    check_dense("event factors", n_events, k)
     if not (math.isfinite(gamma) and gamma >= 0):
         raise InvalidParameterError(f"gamma must be finite and >= 0, got {gamma}")
     if not (math.isfinite(scale) and scale > 0):
         raise InvalidParameterError(f"init scale must be finite and > 0, got {scale}")
+    # numpy refuses a draw range [-scale, scale] whose width overflows
+    if not math.isfinite(2 * scale):
+        raise InvalidParameterError(
+            f"init scale must be <= {sys.float_info.max / 2!r}, got {scale}"
+        )
     rng = _rng(seed)
     return FactorModel(
         gamma=float(gamma),

@@ -17,7 +17,7 @@ from .errors import (
     IndexOutOfRangeError,
     InvalidParameterError,
 )
-from .model import FactorModel, _dot, _rng, check_dimensions
+from .model import FactorModel, _dot, _rng, check_dense, check_dimensions
 from .ratings import RatingMatrix, _build, check_index
 
 
@@ -101,6 +101,10 @@ def synth_community_matrix(
     """
     if n_users < 1 or n_events < 1 or n_communities < 1:
         raise InvalidParameterError("n_users, n_events, n_communities must all be >= 1")
+    # community ids are int64, like the indices they label
+    if n_communities > np.iinfo(np.int64).max:
+        raise InvalidParameterError(f"n_communities must fit in int64, got {n_communities}")
+    check_dense("community matrix", n_users, n_events)
     if not 0 <= cross_rate <= in_rate <= 1:
         raise InvalidParameterError(
             f"need 0 <= cross_rate <= in_rate <= 1, got cross={cross_rate}, in={in_rate}"

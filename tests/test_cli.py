@@ -294,16 +294,26 @@ def test_train_non_finite_flags_are_domain_errors(tmp_path, capsys, matrix_csv, 
     assert not out.exists()
 
 
-def test_train_negative_reward_rejected_before_work(tmp_path, capsys, matrix_csv, consent_env):
+@pytest.mark.parametrize(
+    "reward, message",
+    [
+        (-3, "token amount must be >= 0, got -3"),
+        (2**64, f"token amount too large for 8 bytes: {2**64}"),
+    ],
+    ids=["negative", "too-large"],
+)
+def test_train_out_of_range_reward_rejected_before_work(
+    tmp_path, capsys, matrix_csv, consent_env, reward, message
+):
     ledger, keys = consent_env
     before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
     code, _, err = run(
         capsys, "train", matrix_csv, "--out", tmp_path / "m.json", "--report",
-        tmp_path / "r.json", "--ledger", ledger, "--keys", keys, "--reward", -3,
+        tmp_path / "r.json", "--ledger", ledger, "--keys", keys, "--reward", reward,
         "--timestamp", 300,
     )
     assert code == 1
-    assert err == "error: --reward must be >= 0, got -3\n"
+    assert err == f"error: {message}\n"
     assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
@@ -340,6 +350,31 @@ def test_unallocatable_width_is_a_domain_error(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["train", "--k", 10**18], "user factors of 2x1000000000000000000 float64 cells"),
+        (["simulate", "--users", 2**70], f"community matrix of {2**70}x2 float64 cells"),
+        (["simulate", "--events", 2**70], f"community matrix of 2x{2**70} float64 cells"),
+        (["simulate", "--communities", 2**70], f"n_communities must fit in int64, got {2**70}"),
+    ],
+    ids=["train-k", "simulate-users", "simulate-events", "simulate-communities"],
+)
+def test_oversized_size_flag_is_refused_before_numpy(tmp_path, capsys, argv, message):
+    # these byte counts overflow numpy's size type, so numpy would raise a
+    # bare ValueError or OverflowError instead of trying to allocate
+    command, *flags = argv
+    out = tmp_path / "out.json"
+    # the flag under test comes last, so it overrides the tiny run's own
+    code, stdout, err = run(capsys, command, *tiny_run_args(command, tmp_path), *flags,
+                            "--out", out)
+    assert code == 1
+    assert stdout == ""
+    assert err.startswith(f"error: {message}")
+    assert err.count("\n") == 1
+    assert not out.exists()
+
+
 # --- ledger subcommands ---
 
 
@@ -360,6 +395,18 @@ def test_ledger_init_bad_timestamp_is_a_domain_error(tmp_path, capsys, timestamp
     assert code == 1
     assert stdout == ""
     assert err == f"error: timestamp must fit an unsigned 64-bit int, got {timestamp}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_ledger_init_oversized_user_count_is_a_domain_error(tmp_path, capsys):
+    # 2**63 keypairs could never be derived; the command must not start
+    code, stdout, err = run(
+        capsys, "ledger", "init", "--out", tmp_path / "chain.jsonl",
+        "--keys", tmp_path / "keys.json", "--users", 2**63,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: --users must fit in int64, got {2**63}\n"
     assert list(tmp_path.iterdir()) == []
 
 

@@ -24,7 +24,7 @@ from echofeed.ledger import (
     LedgerBlock,
     PayloadType,
     UserAccount,
-    _check_block,
+    _canonical,
     accounts,
     append_event,
     block_hash,
@@ -333,7 +333,7 @@ def test_link_and_index_are_reported_before_signature(changes, reason):
     led, _, _ = sample_ledger()
     blocks = list(led)
     blocks[2] = rehashed(blocks[2], **changes)
-    assert not _ed25519.verify(*_check_block(blocks[2]))
+    assert not _ed25519.verify(blocks[2].author, blocks[2].signature, _canonical(blocks[2]))
     report = verify_chain(blocks)
     assert (report.valid, report.bad_index, report.reason) == (False, 2, reason)
 

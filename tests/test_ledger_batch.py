@@ -329,6 +329,32 @@ def verifier_threads() -> set:
     return {t for t in threading.enumerate() if t.name.startswith("ed25519-verify")}
 
 
+def test_pool_threads_call_no_public_signature_function(monkeypatch, chunked):
+    # a caller may wrap verify and sign with code that is not thread-safe
+    # (a tracer appending spans, say), so only the calling thread may call them
+    bad_sig = list(BASE)
+    with_bad_signature(bad_sig, 20)
+    chains = [list(BASE), bad_sig]
+    profiles = [
+        PortableProfile(kp.public_key, tuple(b for b in chain if b.author == kp.public_key))
+        for chain in chains for kp in KEYS
+    ]
+    want = [chain_outcome(c) for c in chains] + [profile_outcome(p) for p in profiles]
+    assert (False, 20, BAD_SIGNATURE) in want
+
+    def main_thread_only(fn):
+        def guarded(*args):
+            assert threading.current_thread() is threading.main_thread(), fn.__name__
+            return fn(*args)
+        return guarded
+
+    for name in ("verify", "sign"):
+        monkeypatch.setattr(_ed25519, name, main_thread_only(getattr(_ed25519, name)))
+    got = [chain_outcome(c) for c in chains] + [profile_outcome(p) for p in profiles]
+    assert got == want
+    assert (_ed25519._pool is not None) == SODIUM
+
+
 def test_fallback_starts_no_thread(monkeypatch, fresh_pool):
     chain = build_chain(64)
     monkeypatch.setattr(_ed25519, "_sodium", None)

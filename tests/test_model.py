@@ -71,6 +71,16 @@ def test_init_rejects_bad_gamma_and_scale():
     for scale in (math.nan, math.inf):
         with pytest.raises(InvalidParameterError, match="init scale must be finite and > 0"):
             init_model(2, 2, 1, gamma=0.0, seed=0, scale=scale)
+    # the draw range [-scale, scale] must have a finite width
+    with pytest.raises(InvalidParameterError, match="init scale must be <= "):
+        init_model(2, 2, 1, gamma=0.0, seed=0, scale=1e308)
+    assert init_model(1, 1, 1, gamma=0.0, seed=0, scale=1e307).k == 1
+
+
+@pytest.mark.parametrize("n_users, n_events, k", [(2, 1, 10**18), (1, 2**63, 1), (2**62, 1, 2)])
+def test_init_refuses_a_shape_numpy_cannot_size(n_users, n_events, k):
+    with pytest.raises(InvalidDimensionError, match="float64 cells cannot be allocated"):
+        init_model(n_users, n_events, k, gamma=0.0, seed=0)
 
 
 # --- predict ---
