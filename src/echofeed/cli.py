@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import ledger as led
 from ._atomic import atomic_write
 from ._ed25519 import PUBLIC_KEY_SIZE, SEED_SIZE
@@ -124,6 +126,8 @@ def cmd_ingest(args) -> int:
 def cmd_train(args) -> int:
     config = _train_config(args)
     led.check_token_amount(args.reward)
+    if args.timestamp is not None:
+        led.check_timestamp(args.timestamp)
     matrix = load_csv(args.matrix)
     ledger_obj = None
     keystore = None
@@ -192,22 +196,25 @@ def cmd_simulate(args) -> int:
     fresh = init_model(args.users, args.events, args.k, args.gamma, args.seed, args.scale)
     rows = []
     model = None
-    for rnd in range(args.rounds + 1):
-        if rnd > 0:
-            train_m = engagement_round(train_m, model, args.accept_top, args.accept_value)
-        model, _ = train(fresh, train_m, config)
-        recs = [
-            top_k(model, train_m, u, args.rec_k, exclude_observed=False)
-            for u in range(args.users)
-        ]
-        rows.append(
-            {
-                "round": rnd,
-                "fragmentation_index": fragmentation_index(recs, labels),
-                "n_observations": len(train_m),
-                "rmse_holdout": rmse(model, test_m) if len(test_m) else None,
-            }
-        )
+    # finite factors may still overflow when scored: such scores are inf or
+    # nan, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        for rnd in range(args.rounds + 1):
+            if rnd > 0:
+                train_m = engagement_round(train_m, model, args.accept_top, args.accept_value)
+            model, _ = train(fresh, train_m, config)
+            recs = [
+                top_k(model, train_m, u, args.rec_k, exclude_observed=False)
+                for u in range(args.users)
+            ]
+            rows.append(
+                {
+                    "round": rnd,
+                    "fragmentation_index": fragmentation_index(recs, labels),
+                    "n_observations": len(train_m),
+                    "rmse_holdout": rmse(model, test_m) if len(test_m) else None,
+                }
+            )
     with atomic_write(args.out) as fh:
         fh.write(json.dumps(rows, indent=2) + "\n")
     if args.csv:

@@ -195,11 +195,16 @@ def block_hash(canonical: bytes) -> bytes:
     return hashlib.sha256(canonical).digest()
 
 
+def check_timestamp(timestamp: int) -> None:
+    """Raise InvalidPayloadError unless timestamp fits a block's 8-byte field."""
+    if not 0 <= timestamp < 2**64:
+        raise InvalidPayloadError(f"timestamp must fit an unsigned 64-bit int, got {timestamp}")
+
+
 def _seal(index, prev_hash, timestamp, author, payload_type, payload, sign) -> LedgerBlock:
     """Every new block is made here: signed by `sign` and hashed over one canonical encoding."""
     ts = int(timestamp)
-    if not 0 <= ts < 2**64:
-        raise InvalidPayloadError(f"timestamp must fit an unsigned 64-bit int, got {timestamp}")
+    check_timestamp(ts)
     canonical = signing_bytes(index, prev_hash, ts, author, payload_type, payload)
     return LedgerBlock(
         index, prev_hash, ts, author, payload_type, payload,

@@ -145,8 +145,10 @@ def objective(model: FactorModel, matrix: RatingMatrix) -> float:
     value is reproducible run to run.
     """
     check_dimensions(model, matrix)
-    resid = _residuals(model, matrix)
-    return float(resid @ resid) + model.gamma * l2_penalty(model)
+    # overflowed factors give an inf or nan objective, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = _residuals(model, matrix)
+        return float(resid @ resid) + model.gamma * l2_penalty(model)
 
 
 def save_model(model: FactorModel, path: str | Path) -> None:

@@ -8,12 +8,20 @@ error is absorbed into the learning rate, so a step moves along
 (e * other_row - gamma * own_row). gradient_at, used for testing, returns
 the unhalved analytic gradient of the objective itself.
 
-The step runs on Python lists of floats rather than numpy rows: at the
-small k this model uses, numpy's per-call overhead is most of a step. Its
-dot product is summed left to right from 0.0, the sum model._dot scores
-with, so neither factors nor scores depend on BLAS, numpy, array layout or
-the Python version (builtin sum() is compensated from Python 3.12 on). Only
-the objective and rmse totals over observations use numpy reductions.
+An epoch is defined as its steps run one after another in a seeded order,
+but it runs them in waves. A step's wave is one more than the latest wave
+that touched its user row or its event row, so no row repeats within a
+wave, and each step reads the rows that exactly the steps before it in the
+order left behind. Steps on disjoint rows commute (as in Hogwild! and
+DSGD), so one numpy pass per wave updates them all. Each new entry is
+computed with the same IEEE operations, in the same order, as one scalar
+step, and the dot product is summed left to right from 0.0 by model._dot,
+the sum scoring uses. The trained factors are therefore bit-identical to
+the sequential order's, and depend on neither BLAS, numpy, array layout nor
+the Python version. The first step in the order whose update is not finite
+also ran on its sequential inputs, so training stops at the same step as
+the sequential order would. Only the objective and rmse totals over
+observations use numpy reductions.
 """
 
 from __future__ import annotations
@@ -25,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import EmptyMatrixError, InvalidParameterError, NonFiniteUpdateError
-from .model import FactorModel, _residuals, check_dimensions, objective
+from .model import FactorModel, _dot, _residuals, check_dimensions, objective
 from .ratings import RatingMatrix, check_index
 
 
@@ -69,50 +77,75 @@ class TrainReport:
         }
 
 
-def _apply_step(uf, ef, u, i, r, lr, gamma):
-    """One simultaneous update of rows uf[u] and ef[i], lists of floats; returns them."""
+def _wave(uf, ef, u, i, r, lr, gamma):
+    """One SGD step per slot of the index arrays u and i, with values r:
+    the new rows for uf[u] and ef[i], and each slot's finiteness flag.
+
+    No user and no event may repeat within a wave, so its steps commute.
+    Every new entry is computed from the pre-update x and y.
+    """
     x = uf[u]
     y = ef[i]
-    dot = 0.0
-    for a, b in zip(x, y):
-        dot += a * b
-    e = r - dot
-    # every new entry is computed from the pre-update x and y on purpose
-    nx = [a + lr * (e * b - gamma * a) for a, b in zip(x, y)]
-    ny = [b + lr * (e * a - gamma * b) for a, b in zip(x, y)]
-    # inf + -inf in these sums yields nan, so this catches both poisons
-    sx = 0.0
-    for v in nx:
-        sx += v
-    sy = 0.0
-    for v in ny:
-        sy += v
-    if not (math.isfinite(sx) and math.isfinite(sy)):
-        raise NonFiniteUpdateError(f"non-finite factor update for user {u}, event {i}")
-    uf[u] = nx
-    ef[i] = ny
-    return nx, ny
+    e = (r - _dot(x, y))[:, None]
+    nx = x + lr * (e * y - gamma * x)
+    ny = y + lr * (e * x - gamma * y)
+    # inf + -inf in these left-to-right sums yields nan, so this catches
+    # both poisons
+    sx = sy = 0.0
+    for j in range(nx.shape[1]):
+        sx = sx + nx[:, j]
+        sy = sy + ny[:, j]
+    return nx, ny, np.isfinite(sx) & np.isfinite(sy)
+
+
+def _waves(order, users, events, n_users, n_events):
+    """Order positions sorted by wave, and each wave's end in that sorting.
+
+    A step's wave is one more than the latest wave of an earlier step on its
+    user row or its event row, counting from 1; within a wave, positions
+    ascend.
+    """
+    last_user = [0] * n_users
+    last_event = [0] * n_events
+    levels = []
+    for t in order:
+        u = users[t]
+        i = events[t]
+        a = last_user[u]
+        b = last_event[i]
+        level = (a if a > b else b) + 1
+        last_user[u] = last_event[i] = level
+        levels.append(level)
+    levels = np.array(levels)
+    return np.argsort(levels, kind="stable"), np.cumsum(np.bincount(levels)[1:])
+
+
+def _non_finite_message(u, i):
+    return f"non-finite factor update for user {u}, event {i}"
 
 
 def sgd_step(model: FactorModel, u: int, i: int, value: float, learning_rate: float) -> FactorModel:
     """Apply one SGD update for the observation (u, i, value), in place.
 
     Returns the same model object with rows u and i updated; all other
-    rows are untouched.
+    rows are untouched. A non-finite update raises before any row is written.
     """
     check_index("user", u, model.n_users)
     check_index("event", i, model.n_events)
-    nx, ny = _apply_step(
-        {u: model.user_factors[u].tolist()},
-        {i: model.event_factors[i].tolist()},
-        u,
-        i,
-        float(value),
-        float(learning_rate),
-        float(model.gamma),
-    )
-    model.user_factors[u] = nx
-    model.event_factors[i] = ny
+    with np.errstate(over="ignore", invalid="ignore"):
+        nx, ny, ok = _wave(
+            model.user_factors,
+            model.event_factors,
+            np.array([u]),
+            np.array([i]),
+            np.array([float(value)]),
+            float(learning_rate),
+            float(model.gamma),
+        )
+    if not ok[0]:
+        raise NonFiniteUpdateError(_non_finite_message(u, i))
+    model.user_factors[u] = nx[0]
+    model.event_factors[i] = ny[0]
     return model
 
 
@@ -148,39 +181,48 @@ def train(
     if not len(matrix):
         raise EmptyMatrixError("cannot train on a matrix with no observations")
     work = model.copy()
-    # tolist() and np.array() are exact, so only the step's arithmetic counts;
-    # numpy scalars in the step would be slower and warn on overflow
-    uf = work.user_factors.tolist()
-    ef = work.event_factors.tolist()
+    uf, ef = work.user_factors, work.event_factors
     lr = float(config.learning_rate)
     gamma = float(work.gamma)
-    obs_users = matrix.users.tolist()
-    obs_events = matrix.events.tolist()
-    obs_values = matrix.values.tolist()
-    order = list(range(len(obs_users)))
+    users = matrix.users.tolist()
+    events = matrix.events.tolist()
+    order = list(range(len(users)))
     rng = random.Random(config.seed)
 
     report = TrainReport()
-    for epoch in range(1, config.epochs + 1):
-        if config.shuffle:
-            rng.shuffle(order)
-        for step, t in enumerate(order):
-            try:
-                _apply_step(uf, ef, obs_users[t], obs_events[t], obs_values[t], lr, gamma)
-            except NonFiniteUpdateError as exc:
+    # a diverging epoch runs to its end on inf and nan before it is reported
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            if config.shuffle:
+                rng.shuffle(order)
+            positions, ends = _waves(order, users, events, work.n_users, work.n_events)
+            slots = np.array(order)[positions]
+            wu = matrix.users[slots]
+            wi = matrix.events[slots]
+            wr = matrix.values[slots]
+            ok = np.empty(len(slots), dtype=bool)
+            start = 0
+            for end in ends.tolist():
+                u, i = wu[start:end], wi[start:end]
+                uf[u], ef[i], ok[start:end] = _wave(uf, ef, u, i, wr[start:end], lr, gamma)
+                start = end
+            if not ok.all():
+                # every earlier step ran on its sequential inputs
+                step = int(positions[~ok].min())
+                t = order[step]
                 raise NonFiniteUpdateError(
-                    f"{exc} (epoch {epoch}, step {step})", epoch=epoch, step=step
-                ) from exc
-        work.user_factors = np.array(uf, dtype=np.float64)
-        work.event_factors = np.array(ef, dtype=np.float64)
-        loss = objective(work, matrix)
-        report.loss_history.append(loss)
-        if config.tolerance > 0 and epoch >= 2:
-            prev = report.loss_history[-2]
-            delta = abs(loss - prev)
-            if (prev == 0 and delta == 0) or (prev > 0 and delta / prev < config.tolerance):
-                report.stopped_early = True
-                break
+                    f"{_non_finite_message(users[t], events[t])} (epoch {epoch}, step {step})",
+                    epoch=epoch,
+                    step=step,
+                )
+            loss = objective(work, matrix)
+            report.loss_history.append(loss)
+            if config.tolerance > 0 and epoch >= 2:
+                prev = report.loss_history[-2]
+                delta = abs(loss - prev)
+                if (prev == 0 and delta == 0) or (prev > 0 and delta / prev < config.tolerance):
+                    report.stopped_early = True
+                    break
     return work, report
 
 
@@ -189,5 +231,7 @@ def rmse(model: FactorModel, matrix: RatingMatrix) -> float:
     check_dimensions(model, matrix)
     if not len(matrix):
         raise EmptyMatrixError("rmse needs at least one observation")
-    resid = _residuals(model, matrix)
-    return math.sqrt(float(resid @ resid) / len(resid))
+    # as in objective: overflowed factors give inf or nan, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        resid = _residuals(model, matrix)
+        return math.sqrt(float(resid @ resid) / len(resid))

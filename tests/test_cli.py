@@ -317,6 +317,24 @@ def test_train_out_of_range_reward_rejected_before_work(
     assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
 
 
+@pytest.mark.parametrize("timestamp", [-1, 2**64], ids=["negative", "too-large"])
+def test_train_out_of_range_timestamp_rejected_before_work(
+    tmp_path, capsys, matrix_csv, consent_env, timestamp
+):
+    # the reward blocks' timestamp is refused before training, so no model
+    # or report is written and the ledger is unchanged
+    ledger, keys = consent_env
+    before = sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir())
+    code, stdout, err = run(
+        capsys, "train", matrix_csv, "--out", tmp_path / "m.json", "--report",
+        tmp_path / "r.json", "--ledger", ledger, "--keys", keys, "--timestamp", timestamp,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == f"error: timestamp must fit an unsigned 64-bit int, got {timestamp}\n"
+    assert sorted((p.name, p.read_bytes()) for p in tmp_path.iterdir()) == before
+
+
 def tiny_run_args(command, tmp_path):
     """The input arguments of a two-user train or simulate run."""
     if command == "simulate":

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 
@@ -12,7 +13,9 @@ from echofeed.errors import (
     InvalidParameterError,
     NonFiniteUpdateError,
 )
-from echofeed.model import FactorModel, init_model, l2_penalty, objective, predict
+from echofeed.model import (
+    FactorModel, init_model, l2_penalty, objective, predict, save_model,
+)
 from echofeed import training
 from echofeed.ratings import from_triplets
 from echofeed.training import (
@@ -151,8 +154,10 @@ def test_step_event_index_out_of_range():
 
 def test_step_detects_non_finite():
     model = manual_model([[1e300]], [[1e300]])
-    with pytest.raises(NonFiniteUpdateError):
+    with pytest.raises(NonFiniteUpdateError, match="^non-finite factor update for user 0, event 0$"):
         sgd_step(model, 0, 0, 4.0, learning_rate=0.1)
+    # the check comes before the write
+    assert model.user_factors[0, 0] == model.event_factors[0, 0] == 1e300
 
 
 def test_step_decreases_per_sample_loss():
@@ -279,24 +284,30 @@ def test_train_matches_manual_step_sequence():
 
 def test_train_visits_each_observation_once_per_epoch(monkeypatch):
     matrix = from_triplets([(u, e, 1.0) for u in range(3) for e in range(3)], 3, 3)
-    visits = []
-    real = training._apply_step
+    waves = []
+    real = training._wave
 
     def spy(uf, ef, u, i, r, lr, gamma):
-        visits.append((u, i))
+        waves.append(list(zip(u.tolist(), i.tolist())))
         return real(uf, ef, u, i, r, lr, gamma)
 
-    monkeypatch.setattr(training, "_apply_step", spy)
+    monkeypatch.setattr(training, "_wave", spy)
     model = init_model(3, 3, 1, 0.0, seed=0)
     for seed in (0, 1, 99):
-        visits.clear()
+        waves.clear()
         train(model, matrix, TrainConfig(epochs=4, seed=seed))
+        visits = [key for wave in waves for key in wave]
         assert len(visits) == 4 * 9
         expected = {(u, i): 4 for u, i in zip(matrix.users.tolist(), matrix.events.tolist())}
         counts = {}
         for key in visits:
             counts[key] = counts.get(key, 0) + 1
         assert counts == expected
+        # the steps of one wave commute only if they share no row
+        for wave in waves:
+            users, events = zip(*wave)
+            assert len(set(users)) == len(users)
+            assert len(set(events)) == len(events)
 
 
 def test_train_empty_matrix_rejected():
@@ -348,7 +359,7 @@ def test_train_gamma_shrinks_factors():
     assert penalties[1] < penalties[0]
 
 
-# --- the list kernel against references ---
+# --- the wave kernel against references ---
 
 
 def left_to_right_dot(x, y):
@@ -442,6 +453,131 @@ def test_train_agrees_with_numpy_step(case):
     uf, ef = replay(model, matrix, config, numpy_step, np.copy)
     for got, ref in ((trained.user_factors, uf), (trained.event_factors, ef)):
         assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def left_to_right_sum(row):
+    total = 0.0
+    for v in row:
+        total = total + v
+    return total
+
+
+def first_failure(model, matrix, config):
+    """(epoch, step, message) of the first step whose new rows do not sum to
+    finite values when reference_step runs in train's order, or None."""
+    uf, ef = model.user_factors.tolist(), model.event_factors.tolist()
+    obs = list(zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist()))
+    order = list(range(len(obs)))
+    rng = random.Random(config.seed)
+    for epoch in range(1, config.epochs + 1):
+        if config.shuffle:
+            rng.shuffle(order)
+        for step, t in enumerate(order):
+            u, i, r = obs[t]
+            reference_step(uf, ef, u, i, r, config.learning_rate, model.gamma)
+            if not all(math.isfinite(left_to_right_sum(row)) for row in (uf[u], ef[i])):
+                message = f"non-finite factor update for user {u}, event {i}"
+                return epoch, step, f"{message} (epoch {epoch}, step {step})"
+    return None
+
+
+def log_uniform(lo, mid, hi):
+    """Powers of ten up to 10**hi, half of them at most 10**mid."""
+    return (st.floats(lo, mid) | st.floats(lo, hi)).map(lambda p: 10.0**p)
+
+
+@st.composite
+def diverging_cases(draw):
+    """Up to 20 x 20 ratings, learning rates up to 1e300 and init scales up to
+    1e150. On wide matrices a step may fail in an earlier wave than a step
+    before it in the order."""
+    k = draw(st.integers(1, 8))
+    gamma = draw(st.one_of(st.just(0.0), st.floats(0.01, 1.0)))
+    n_users, n_events = draw(st.integers(1, 20)), draw(st.integers(1, 20))
+    density = draw(st.floats(0.1, 1.0))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    trips = [
+        (u, e, rng.uniform(0.5, 5.0))
+        for u in range(n_users)
+        for e in range(n_events)
+        if rng.random() < density
+    ]
+    matrix = from_triplets(trips or [(0, 0, 1.0)], n_users, n_events)
+    scale = draw(log_uniform(-1, 1, 150))
+    model = init_model(n_users, n_events, k, gamma, seed=rng.randrange(2**32), scale=scale)
+    config = TrainConfig(
+        learning_rate=draw(log_uniform(-2, 3, 300)),
+        epochs=draw(st.integers(1, 4)),
+        seed=rng.randrange(2**32),
+    )
+    return model, matrix, config
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=diverging_cases())
+def test_train_stops_at_the_first_non_finite_step(case):
+    # the waves run a diverging epoch to its end, yet report the step at
+    # which one step after another would have stopped
+    model, matrix, config = case
+    expected = first_failure(model, matrix, config)
+    if expected is None:
+        train(model, matrix, config)
+        return
+    with pytest.raises(NonFiniteUpdateError) as exc:
+        train(model, matrix, config)
+    assert (exc.value.epoch, exc.value.step, str(exc.value)) == expected
+
+
+def test_train_reports_the_earliest_failing_step_not_the_earliest_wave():
+    # steps 0 and 2 share wave 1 and step 1 runs in wave 2, after step 0 on
+    # user 0; steps 1 and 2 both overflow, and step 1 comes first
+    model = manual_model([[0.0], [0.0]], [[0.0], [1e300], [1e300]])
+    matrix = from_triplets([(0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0)], 2, 3)
+    config = TrainConfig(learning_rate=1e10, epochs=1, shuffle=False)
+    with pytest.raises(NonFiniteUpdateError) as exc:
+        train(model, matrix, config)
+    assert (exc.value.epoch, exc.value.step, str(exc.value)) == (
+        1, 1, "non-finite factor update for user 0, event 1 (epoch 1, step 1)"
+    )
+
+
+def wide_case():
+    """300 users x 300 events with 9000 ratings, k = 8: waves hundreds of
+    steps wide. Built with Python's random alone, so its inputs are the same
+    under every numpy version."""
+    rng = random.Random(2011)
+    n, k = 300, 8
+    cells = rng.sample(range(n * n), 9000)
+    matrix = from_triplets([(c // n, c % n, rng.uniform(0.5, 5.0)) for c in cells], n, n)
+    rows = [[rng.uniform(-0.1, 0.1) for _ in range(k)] for _ in range(2 * n)]
+    model = FactorModel(
+        gamma=0.02, user_factors=np.array(rows[:n]), event_factors=np.array(rows[n:])
+    )
+    return model, matrix, TrainConfig(learning_rate=0.01, epochs=2, seed=2011)
+
+
+# sha256 of save_model's bytes for the wide case, trained by the sequential
+# Python-float step kernel before training ran in waves
+WIDE_CASE_SHA256 = "9066b9ec29de180b6fe3a2d8c2243ad2677a5b49669be4cd89c86c411377b42b"
+
+
+def test_wide_waves_match_oracle_and_golden_bytes(tmp_path, monkeypatch):
+    model, matrix, config = wide_case()
+    widths = []
+    real = training._wave
+
+    def spy(uf, ef, u, i, r, lr, gamma):
+        widths.append(len(u))
+        return real(uf, ef, u, i, r, lr, gamma)
+
+    monkeypatch.setattr(training, "_wave", spy)
+    trained, _ = train(model, matrix, config)
+    assert max(widths) > 100
+    uf, ef = replay(model, matrix, config, reference_step, lambda a: a.tolist())
+    assert np.array_equal(trained.user_factors, uf)
+    assert np.array_equal(trained.event_factors, ef)
+    save_model(trained, tmp_path / "m.json")
+    assert hashlib.sha256((tmp_path / "m.json").read_bytes()).hexdigest() == WIDE_CASE_SHA256
 
 
 # --- rmse ---
