@@ -13,12 +13,11 @@ import argparse
 import functools
 import hashlib
 import json
+import math
 import os
 import sys
 import time
 from pathlib import Path
-
-import numpy as np
 
 from . import ledger as led
 from ._atomic import atomic_write
@@ -26,6 +25,7 @@ from ._ed25519 import PUBLIC_KEY_SIZE, SEED_SIZE
 from .errors import (
     EchoFeedError,
     InvalidParameterError,
+    NonFiniteScoreError,
     ParseError,
     UnregisteredUserError,
 )
@@ -165,7 +165,10 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     matrix = load_csv(args.matrix)
-    print(f"rmse={rmse(model, matrix)!r}")
+    value = rmse(model, matrix)
+    if not math.isfinite(value):
+        raise NonFiniteScoreError(f"rmse is {value!r}: the model's predictions overflow")
+    print(f"rmse={value!r}")
     return 0
 
 
@@ -173,6 +176,9 @@ def cmd_recommend(args) -> int:
     model = load_model(args.model)
     matrix = load_csv(args.matrix)
     recs = top_k(model, matrix, args.user, args.top, exclude_observed=not args.include_observed)
+    for event, score in zip(recs.events, recs.scores):
+        if not math.isfinite(score):
+            raise NonFiniteScoreError(f"score of user {recs.user}, event {event} is {score!r}")
     doc = {"user": recs.user, "events": list(recs.events), "scores": list(recs.scores)}
     text = json.dumps(doc)
     if args.out:
@@ -196,25 +202,22 @@ def cmd_simulate(args) -> int:
     fresh = init_model(args.users, args.events, args.k, args.gamma, args.seed, args.scale)
     rows = []
     model = None
-    # finite factors may still overflow when scored: such scores are inf or
-    # nan, not numpy warnings
-    with np.errstate(over="ignore", invalid="ignore"):
-        for rnd in range(args.rounds + 1):
-            if rnd > 0:
-                train_m = engagement_round(train_m, model, args.accept_top, args.accept_value)
-            model, _ = train(fresh, train_m, config)
-            recs = [
-                top_k(model, train_m, u, args.rec_k, exclude_observed=False)
-                for u in range(args.users)
-            ]
-            rows.append(
-                {
-                    "round": rnd,
-                    "fragmentation_index": fragmentation_index(recs, labels),
-                    "n_observations": len(train_m),
-                    "rmse_holdout": rmse(model, test_m) if len(test_m) else None,
-                }
-            )
+    for rnd in range(args.rounds + 1):
+        if rnd > 0:
+            train_m = engagement_round(train_m, model, args.accept_top, args.accept_value)
+        model, _ = train(fresh, train_m, config)
+        recs = [
+            top_k(model, train_m, u, args.rec_k, exclude_observed=False)
+            for u in range(args.users)
+        ]
+        rows.append(
+            {
+                "round": rnd,
+                "fragmentation_index": fragmentation_index(recs, labels),
+                "n_observations": len(train_m),
+                "rmse_holdout": rmse(model, test_m) if len(test_m) else None,
+            }
+        )
     with atomic_write(args.out) as fh:
         fh.write(json.dumps(rows, indent=2) + "\n")
     if args.csv:

@@ -58,6 +58,10 @@ class NonFiniteUpdateError(EchoFeedError, ArithmeticError):
         self.step = step
 
 
+class NonFiniteScoreError(EchoFeedError, ArithmeticError):
+    """A score or error metric of finite factors overflowed to NaN or Inf."""
+
+
 class InvalidPayloadError(EchoFeedError, ValueError):
     """A ledger payload is malformed for its declared type."""
 

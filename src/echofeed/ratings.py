@@ -9,11 +9,12 @@ all mutation-looking operations return a new matrix.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 import re
+import warnings
 from dataclasses import dataclass, field
-from itertools import repeat
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -31,6 +32,8 @@ from .errors import (
 
 _HEADER_RE = re.compile(r"^#\s*users\s*=\s*(\d+)\s+events\s*=\s*(\d+)\s*$")
 _INT64 = np.iinfo(np.int64)
+_ROW = np.dtype([("u", np.int64), ("e", np.int64), ("v", np.float64)])
+_NUMPY_1 = np.lib.NumpyVersion(np.__version__) < "2.0.0"
 
 
 @dataclass(frozen=True, eq=False)
@@ -162,41 +165,50 @@ def from_triplets(
     )
 
 
-def _parse_bulk(lines: list[str], index_type=np.int64):
+def _parse_bulk(text: str):
     """Whole-file parse: (header dimensions, users, events, values).
 
-    Converts with int() and float(). Raises ParseError naming the first
-    malformed data line, else OverflowError if an index overflows index_type.
+    numpy's C reader parses ASCII data lines, taking a subset of what int()
+    and float() take, with the same values. Other data, or data it refuses,
+    goes to a per-line int()/float() scan naming the first malformed line.
     """
-    stripped = list(map(str.strip, lines))
+    stripped = list(map(str.strip, text.splitlines()))
     data = [s for s in stripped if s and s[0] != "#"]
     header_dims = None
-    for s in [s for s in stripped if s[:1] == "#"]:
-        m = _HEADER_RE.match(s)
-        if m:
-            header_dims = (int(m.group(1)), int(m.group(2)))
-    n = len(data)
+    for m in filter(None, map(_HEADER_RE.match, [s for s in stripped if s[:1] == "#"])):
+        header_dims = (int(m.group(1)), int(m.group(2)))
     try:
-        if set(map(str.count, data, repeat(","))) - {2}:
-            raise ValueError("a data line without exactly 3 fields")
-        fields = ",".join(data).split(",")
-        users = np.fromiter(map(int, fields[0::3]), index_type, n)
-        events = np.fromiter(map(int, fields[1::3]), index_type, n)
-        values = np.fromiter(map(float, fields[2::3]), np.float64, n)
-    except (ValueError, OverflowError):
-        # the bulk parse cannot name the bad line; this scan runs only on failure
-        for lineno, line in enumerate(stripped, start=1):
-            if not line or line[0] == "#":
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(f"expected 3 comma-separated fields, got {len(parts)}", lineno)
-            try:
-                int(parts[0]), int(parts[1]), float(parts[2])
-            except ValueError as exc:
-                raise ParseError(str(exc), lineno) from exc
-        raise
-    return header_dims, users, events, values
+        # the reader gets only ASCII data (numpy 2.4's read U+01FE as the digit
+        # 462 and crashed above U+FFFF) without \x1f, which it strips around a
+        # field but int() and float() refuse; on no data it would only warn
+        if not data or not (text.isascii() or all(map(str.isascii, data))) or (
+            "\x1f" in text and any("\x1f" in s for s in data)
+        ):
+            raise ValueError("data the reader may misread")
+        with warnings.catch_warnings() if _NUMPY_1 else contextlib.nullcontext():
+            if _NUMPY_1:
+                # numpy 1.x reads "1.0" as an index with only a DeprecationWarning
+                warnings.simplefilter("error")
+            table = np.loadtxt(data, delimiter=",", comments=None, dtype=_ROW, ndmin=1)
+        return header_dims, table["u"], table["e"], table["v"]
+    except (ValueError, OverflowError, Warning):
+        pass
+    rows = []
+    for lineno, line in enumerate(stripped, start=1):
+        if not line or line[0] == "#":
+            continue
+        parts = line.split(",")
+        if len(parts) != 3:
+            raise ParseError(f"expected 3 comma-separated fields, got {len(parts)}", lineno)
+        try:
+            rows.append((int(parts[0]), int(parts[1]), float(parts[2])))
+        except ValueError as exc:
+            raise ParseError(str(exc), lineno) from exc
+    try:
+        table = np.array(rows, _ROW)
+    except OverflowError:  # an index outside int64: Python ints, for from_triplets
+        return (header_dims, *np.array(rows, object).reshape(-1, 3).T)
+    return header_dims, table["u"], table["e"], table["v"]
 
 
 def read_utf8(path: str | Path, context: str = "") -> str:
@@ -215,17 +227,16 @@ def load_csv(path: str | Path) -> RatingMatrix:
     Lines starting with `#` are comments; a `# users=N events=M` line pins
     the dimensions, which are otherwise inferred as max index + 1. A file
     with neither data rows nor a dimension header is rejected as empty.
+
+    On numpy 1.x the parse changes the process-wide warning filters for its
+    duration, so there load_csv is not safe to call from several threads.
     """
     path = Path(path)
-    lines = read_utf8(path).splitlines()
-    try:
-        header_dims, users, events, values = _parse_bulk(lines)
-    except OverflowError:
-        # an index beyond int64: parse Python ints for from_triplets to report
-        header_dims, users, events, values = _parse_bulk(lines, object)
-        dims = _dimensions(path, header_dims, users, events)
-        return from_triplets(zip(users.tolist(), events.tolist(), values.tolist()), *dims)
-    return _build(users, events, values, *_dimensions(path, header_dims, users, events))
+    header_dims, users, events, values = _parse_bulk(read_utf8(path))
+    dims = _dimensions(path, header_dims, users, events)
+    if users.dtype == object:
+        return from_triplets(zip(users, events, values), *dims)
+    return _build(users, events, values, *dims)
 
 
 def _dimensions(path, header_dims, users, events) -> tuple[int, int]:

@@ -70,7 +70,10 @@ def top_k(
     check_dimensions(model, matrix)
     check_index("user", u, model.n_users)
     check_k_recs(k_recs)
-    scores = _dot(model.event_factors, model.user_factors[u])
+    # finite factors may still overflow when scored: such scores are inf or
+    # nan, not numpy warnings
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = _dot(model.event_factors, model.user_factors[u])
     candidates = np.arange(model.n_events)
     if exclude_observed:
         lo, hi = np.searchsorted(matrix.users, (u, u + 1))

@@ -216,6 +216,10 @@ def train(
                     step=step,
                 )
             loss = objective(work, matrix)
+            if not math.isfinite(loss):
+                raise NonFiniteUpdateError(
+                    f"non-finite objective {loss!r} after epoch {epoch}", epoch=epoch
+                )
             report.loss_history.append(loss)
             if config.tolerance > 0 and epoch >= 2:
                 prev = report.loss_history[-2]

@@ -1,5 +1,6 @@
 import base64
 import json
+import warnings
 
 import pytest
 
@@ -185,6 +186,54 @@ def test_recommend_outputs_ranked_events(tmp_path, capsys, matrix_csv):
     assert len(doc["events"]) <= 3
     assert doc == json.loads(out.read_text())
     assert doc["scores"] == sorted(doc["scores"], reverse=True)
+
+
+@pytest.fixture
+def overflowing_model(tmp_path):
+    """A model load_model accepts whose score for (user 0, event 0) is inf,
+    with a ratings file in which user 0 has rated only event 1."""
+    model = tmp_path / "big.json"
+    model.write_text(
+        '{"k": 1, "gamma": 0.0, "user_factors": [[1e200]], "event_factors": [[1e200], [1.0]]}'
+    )
+    ratings = tmp_path / "one.csv"
+    ratings.write_text("0,1,1.0\n")
+    return model, ratings
+
+
+def run_recording_warnings(capsys, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        result = run(capsys, *args)
+    return (*result, [str(w.message) for w in caught])
+
+
+def test_train_diverging_objective_is_an_error(tmp_path, capsys):
+    # every update stays finite, but the factors' squares overflow the objective
+    ratings = tmp_path / "r.csv"
+    ratings.write_text("0,0,4.0\n0,1,2.0\n1,0,3.5\n1,2,1.0\n2,1,5.0\n")
+    model, report = tmp_path / "m.json", tmp_path / "report.json"
+    code, out, err, caught = run_recording_warnings(
+        capsys, "train", ratings, "--scale", 1e100, "--lr", 1e-300, "--k", 1,
+        "--epochs", 2, "--out", model, "--report", report,
+    )
+    assert (code, out, caught) == (1, "", [])
+    assert err == "error: non-finite objective inf after epoch 1\n"
+    assert not model.exists() and not report.exists()
+
+
+def test_recommend_overflowing_score_is_an_error(capsys, overflowing_model):
+    model, ratings = overflowing_model
+    code, out, err, caught = run_recording_warnings(capsys, "recommend", model, ratings, "--user", 0)
+    assert (code, out, caught) == (1, "", [])
+    assert err == "error: score of user 0, event 0 is inf\n"
+
+
+def test_eval_overflowing_rmse_is_an_error(capsys, overflowing_model):
+    model, ratings = overflowing_model
+    code, out, err, caught = run_recording_warnings(capsys, "eval", model, ratings)
+    assert (code, out, caught) == (1, "", [])
+    assert err == "error: rmse is inf: the model's predictions overflow\n"
 
 
 # --- simulate ---

@@ -1,6 +1,8 @@
 import math
 import random
+import warnings
 
+import numpy as np
 import pytest
 
 from echofeed.errors import (
@@ -12,6 +14,7 @@ from echofeed.errors import (
     ParseError,
 )
 from echofeed.ratings import (
+    _parse_bulk,
     from_triplets,
     load_csv,
     split_holdout,
@@ -110,6 +113,46 @@ def test_load_csv_malformed_value(tmp_path):
     with pytest.raises(ParseError) as exc:
         load_csv(p)
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize(
+    "text", ["# users=4 events=4\n", "\n  \n", "1.0,2,3\n", "1_0,2,3\n", "0,0,1\n"]
+)
+def test_load_csv_leaks_no_numpy_warning(tmp_path, text):
+    # an empty data section and a refused file both make numpy warn
+    p = tmp_path / "m.csv"
+    p.write_text(text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            load_csv(p)
+        except (ParseError, EmptyInputError):
+            pass
+    assert [str(w.message) for w in caught] == []
+
+
+def test_load_csv_non_ascii_index_that_int_refuses_is_a_parse_error():
+    # numpy 2.4's reader took thousands of code points as digits (U+01FE as
+    # 462) and crashed the process on some above U+FFFF; text that is not
+    # ASCII bypasses it
+    for code in [0x1FE, *range(0x80, 0x110000, 0x3F)]:
+        char = chr(code)
+        if char.isspace() or char.isdecimal():
+            continue  # int() strips or reads these
+        with pytest.raises(ParseError) as exc:
+            _parse_bulk(f"0,0,1\n{char},1,1\n")
+        assert exc.value.line == 2
+
+
+def test_load_csv_non_ascii_comment_keeps_the_c_reader(tmp_path, monkeypatch):
+    # only the data lines decide whether numpy's reader may parse them
+    calls = []
+    real = np.loadtxt
+    monkeypatch.setattr(np, "loadtxt", lambda *a, **kw: calls.append(a) or real(*a, **kw))
+    p = tmp_path / "m.csv"
+    p.write_text("# caf\xe9 \x1f\n0,0,1\n1,2,2.5\n", encoding="utf-8")
+    assert rows_of(load_csv(p)) == [(0, 0, 1.0), (1, 2, 2.5)]
+    assert calls == [(["0,0,1", "1,2,2.5"],)]
 
 
 def test_load_csv_wrong_field_count(tmp_path):

@@ -195,6 +195,18 @@ FIELD = st.one_of(
     st.sampled_from(
         ["", " 4 ", "+2", "1_0", "0x1", "1e1", "nan", "-inf", "abc", "99999999999999999999"]
     ),
+    # where numpy's C reader and int()/float() could part: spellings only
+    # Python takes, float spellings in an index, a mid-line "#", a NUL, a
+    # \x1f (whitespace to the reader, not to int()), int64's edges, and
+    # letters that numpy 2.4's reader took for digits
+    st.sampled_from(
+        [
+            "\u0663", "\uff13", "\u0661.\u0665", "\u3000 4\u3000", "\xa04", "1.0", "1e3",
+            "1_0.5", "-nan", "Infinity", "+inf", "1.", ".5", "2 #x", "\x00", "4\x1f",
+            str(2**63), str(-(2**63) - 1), str(2**63 - 1), str(-(2**63)), "7" * 5000,
+            "0" * 30 + "3", "\u01fe", "\U00010400",
+        ]
+    ),
     st.text(alphabet="0123456789-+._e nainf\t", max_size=5),
 )
 LINE = st.one_of(
@@ -218,6 +230,20 @@ LINE = st.one_of(
 )
 @example(["-2,-1,1.0"], "\n", True)
 @example(["0,0,1", "0,99999999999999999999,0", "0,0,2"], "\n", False)
+# numpy 1.x's reader takes "1.0" as an index with only a DeprecationWarning
+@example(["1.0,2,3"], "\n", True)
+@example(["0,0,1", "1.0,2,3"], "\n", True)
+# spellings only int() and float() take: a matrix, not an error
+@example(["1_0,\u0663,\u0661.\u0665", "\uff12,0,\xa02.5\u3000"], "\n", True)
+# no data lines: numpy's reader warns "input contained no data"
+@example(["# users=3 events=4"], "\n", True)
+# \x1f is whitespace to numpy's reader, not to int() and float()
+@example(["0,0,1\x1f", "1\x1f,1,2"], "\n", False)
+# a non-ASCII or \x1f comment lets the data lines alone pick the parser
+@example(["# caf\xe9 \x1f", "0,0,1", "\u01fe,1,1"], "\n", True)
+@example(["# caf\xe9 \x1f", "0,0,1", "1\x1f,1,2"], "\n", True)
+# a "#" after a value is no comment, as numpy's comments="#" would make it
+@example(["# users=3 events=3", "0,0,1", "1,2,2 #x"], "\n", True)
 def test_load_csv_matches_reference(tmp_path_factory, lines, newline, trailing):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))

@@ -90,6 +90,15 @@ def test_top_k_excludes_observed():
     assert recs.events == (2, 1)
 
 
+def test_top_k_overflowed_score_is_inf_without_warning():
+    model = manual_model([[1e200]], [[1e200], [1.0]])
+    matrix = from_triplets([], 1, 2)
+    with np.errstate(all="raise"):
+        recs = top_k(model, matrix, 0, 2, exclude_observed=False)
+    assert recs.events == (0, 1)
+    assert recs.scores == (math.inf, 1e200)
+
+
 def test_top_k_returns_all_when_short():
     model = manual_model([[1.0]], [[1.0], [2.0]])
     matrix = from_triplets([], 1, 2)

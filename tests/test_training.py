@@ -464,7 +464,8 @@ def left_to_right_sum(row):
 
 def first_failure(model, matrix, config):
     """(epoch, step, message) of the first step whose new rows do not sum to
-    finite values when reference_step runs in train's order, or None."""
+    finite values when reference_step runs in train's order, else (epoch,
+    None, message) of the first epoch whose objective is not finite, or None."""
     uf, ef = model.user_factors.tolist(), model.event_factors.tolist()
     obs = list(zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist()))
     order = list(range(len(obs)))
@@ -478,6 +479,9 @@ def first_failure(model, matrix, config):
             if not all(math.isfinite(left_to_right_sum(row)) for row in (uf[u], ef[i])):
                 message = f"non-finite factor update for user {u}, event {i}"
                 return epoch, step, f"{message} (epoch {epoch}, step {step})"
+        loss = objective(FactorModel(model.gamma, np.array(uf), np.array(ef)), matrix)
+        if not math.isfinite(loss):
+            return epoch, None, f"non-finite objective {loss!r} after epoch {epoch}"
     return None
 
 
