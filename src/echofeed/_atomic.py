@@ -1,11 +1,15 @@
-"""Whole-file writes that land completely or not at all."""
+"""Whole-file writes that land completely or not at all, and the one
+writer of JSON that holds floats."""
 
 from __future__ import annotations
 
+import json
 import os
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterator, TextIO
+
+from .errors import NonFiniteScoreError
 
 
 @contextmanager
@@ -25,3 +29,20 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+
+
+def dump_json(doc, path: str | Path | None = None, **kwargs) -> str:
+    """doc as JSON text with a final newline, written atomically to path
+    when one is given; kwargs go to json.dumps.
+
+    JSON (RFC 8259) has no NaN or Infinity, so a non-finite float raises
+    NonFiniteScoreError before anything is written.
+    """
+    try:
+        text = json.dumps(doc, allow_nan=False, **kwargs) + "\n"
+    except ValueError as exc:
+        raise NonFiniteScoreError(f"refusing to write non-finite JSON ({exc})") from exc
+    if path is not None:
+        with atomic_write(path) as fh:
+            fh.write(text)
+    return text

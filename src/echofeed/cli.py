@@ -20,7 +20,7 @@ import time
 from pathlib import Path
 
 from . import ledger as led
-from ._atomic import atomic_write
+from ._atomic import atomic_write, dump_json
 from ._ed25519 import PUBLIC_KEY_SIZE, SEED_SIZE
 from .errors import (
     EchoFeedError,
@@ -143,10 +143,11 @@ def cmd_train(args) -> int:
         matrix.n_users, matrix.n_events, args.k, args.gamma, args.seed, args.scale
     )
     trained, report = train(model, train_m, config)
+    # a holdout rmse that overflows is refused before anything is written
+    holdout = rmse(trained, test_m) if len(test_m) else None
     save_model(trained, args.out)
     if args.report:
-        with atomic_write(args.report) as fh:
-            fh.write(json.dumps(report.to_dict()) + "\n")
+        dump_json(report.to_dict(), args.report)
     if ledger_obj is not None:
         ts = _now_or(args.timestamp)
         # credits never change consent, so one replay serves the whole loop
@@ -157,18 +158,15 @@ def cmd_train(args) -> int:
                 led.credit_tokens(ledger_obj, keystore[idx], args.reward, ts)
         led.append_blocks(ledger_obj[start:], args.ledger)
     print(f"final_objective={report.loss_history[-1]!r}")
-    if len(test_m):
-        print(f"rmse_holdout={rmse(trained, test_m)!r}")
+    if holdout is not None:
+        print(f"rmse_holdout={holdout!r}")
     return 0
 
 
 def cmd_eval(args) -> int:
     model = load_model(args.model)
     matrix = load_csv(args.matrix)
-    value = rmse(model, matrix)
-    if not math.isfinite(value):
-        raise NonFiniteScoreError(f"rmse is {value!r}: the model's predictions overflow")
-    print(f"rmse={value!r}")
+    print(f"rmse={rmse(model, matrix)!r}")
     return 0
 
 
@@ -180,11 +178,7 @@ def cmd_recommend(args) -> int:
         if not math.isfinite(score):
             raise NonFiniteScoreError(f"score of user {recs.user}, event {event} is {score!r}")
     doc = {"user": recs.user, "events": list(recs.events), "scores": list(recs.scores)}
-    text = json.dumps(doc)
-    if args.out:
-        with atomic_write(args.out) as fh:
-            fh.write(text + "\n")
-    print(text)
+    print(dump_json(doc, args.out), end="")
     return 0
 
 
@@ -218,8 +212,7 @@ def cmd_simulate(args) -> int:
                 "rmse_holdout": rmse(model, test_m) if len(test_m) else None,
             }
         )
-    with atomic_write(args.out) as fh:
-        fh.write(json.dumps(rows, indent=2) + "\n")
+    dump_json(rows, args.out, indent=2)
     if args.csv:
         lines = [",".join(METRIC_COLUMNS)]
         for row in rows:

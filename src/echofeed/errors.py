@@ -59,7 +59,8 @@ class NonFiniteUpdateError(EchoFeedError, ArithmeticError):
 
 
 class NonFiniteScoreError(EchoFeedError, ArithmeticError):
-    """A score or error metric of finite factors overflowed to NaN or Inf."""
+    """A score or error metric of finite factors overflowed to NaN or Inf,
+    or an output to be written as JSON holds one."""
 
 
 class InvalidPayloadError(EchoFeedError, ValueError):

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._atomic import atomic_write
+from ._atomic import dump_json
 from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
@@ -159,8 +159,7 @@ def save_model(model: FactorModel, path: str | Path) -> None:
         "user_factors": model.user_factors.tolist(),
         "event_factors": model.event_factors.tolist(),
     }
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(doc) + "\n")
+    dump_json(doc, path)
 
 
 def load_model(path: str | Path) -> FactorModel:

@@ -31,7 +31,8 @@ from .errors import (
 )
 
 _HEADER_RE = re.compile(r"^#\s*users\s*=\s*(\d+)\s+events\s*=\s*(\d+)\s*$")
-_INT64 = np.iinfo(np.int64)
+# plain ints: np.iinfo's min and max are properties computed on each read
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _ROW = np.dtype([("u", np.int64), ("e", np.int64), ("v", np.float64)])
 _NUMPY_1 = np.lib.NumpyVersion(np.__version__) < "2.0.0"
 
@@ -91,7 +92,7 @@ def _check_triplet(triplet, n_users, n_events) -> tuple[int, int, float]:
     value = float(value)
     if not math.isfinite(value) or value < 0:
         raise InvalidValueError(f"rating value must be finite and >= 0, got {value}")
-    if not (_INT64.min <= user <= _INT64.max and _INT64.min <= event <= _INT64.max):
+    if not (_INT64_MIN <= user <= _INT64_MAX and _INT64_MIN <= event <= _INT64_MAX):
         raise IndexOutOfRangeError(f"index of triplet {triplet} does not fit in int64")
     return user, event, value
 
@@ -147,7 +148,7 @@ def from_triplets(
         try:
             user, event, value = row
             user, event, value = int(user), int(event), float(value)
-            if not (_INT64.min <= user <= _INT64.max and _INT64.min <= event <= _INT64.max):
+            if not (_INT64_MIN <= user <= _INT64_MAX and _INT64_MIN <= event <= _INT64_MAX):
                 raise OverflowError
         except (ValueError, TypeError, OverflowError):
             # errors in the triplets before this one are reported first

@@ -64,8 +64,8 @@ def top_k(
 ) -> RecommendationList:
     """The k_recs highest-scoring events for user u.
 
-    Ties break toward the lower event index. If fewer candidates exist than
-    requested, all of them are returned.
+    Ties break toward the lower event index, and NaN scores come last. If
+    fewer candidates exist than requested, all of them are returned.
     """
     check_dimensions(model, matrix)
     check_index("user", u, model.n_users)
@@ -78,8 +78,16 @@ def top_k(
     if exclude_observed:
         lo, hi = np.searchsorted(matrix.users, (u, u + 1))
         candidates = np.delete(candidates, matrix.events[lo:hi])
+    key = -scores[candidates]
+    if k_recs < len(key):
+        # a stable sort's first k_recs keys are never above the k-th smallest,
+        # so only those candidates are sorted: every tie at the boundary stays,
+        # and a NaN k-th (fewer than k_recs numbers) keeps them all
+        kth = np.partition(key, k_recs - 1)[k_recs - 1]
+        keep = ~(key > kth)
+        candidates, key = candidates[keep], key[keep]
     # a stable sort of ascending candidates breaks score ties toward the lower index
-    ranked = candidates[np.argsort(-scores[candidates], kind="stable")[:k_recs]]
+    ranked = candidates[np.argsort(key, kind="stable")[:k_recs]]
     return RecommendationList(
         user=u,
         events=tuple(ranked.tolist()),

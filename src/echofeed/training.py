@@ -32,7 +32,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import EmptyMatrixError, InvalidParameterError, NonFiniteUpdateError
+from .errors import (
+    EmptyMatrixError,
+    InvalidParameterError,
+    NonFiniteScoreError,
+    NonFiniteUpdateError,
+)
 from .model import FactorModel, _dot, _residuals, check_dimensions, objective
 from .ratings import RatingMatrix, check_index
 
@@ -231,11 +236,18 @@ def train(
 
 
 def rmse(model: FactorModel, matrix: RatingMatrix) -> float:
-    """Root mean squared prediction error over the observed cells."""
+    """Root mean squared prediction error over the observed cells.
+
+    Raises NonFiniteScoreError when the predictions of finite factors
+    overflow, so the error is inf or nan.
+    """
     check_dimensions(model, matrix)
     if not len(matrix):
         raise EmptyMatrixError("rmse needs at least one observation")
     # as in objective: overflowed factors give inf or nan, not numpy warnings
     with np.errstate(over="ignore", invalid="ignore"):
         resid = _residuals(model, matrix)
-        return math.sqrt(float(resid @ resid) / len(resid))
+        value = math.sqrt(float(resid @ resid) / len(resid))
+    if not math.isfinite(value):
+        raise NonFiniteScoreError(f"rmse is {value!r}: the model's predictions overflow")
+    return value

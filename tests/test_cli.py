@@ -222,6 +222,31 @@ def test_train_diverging_objective_is_an_error(tmp_path, capsys):
     assert not model.exists() and not report.exists()
 
 
+def test_train_overflowing_holdout_rmse_writes_nothing(tmp_path, capsys):
+    # the objective stays finite (9.19e307), but the holdout predictions overflow
+    ratings = tmp_path / "r.csv"
+    ratings.write_text("0,0,4.0\n0,1,2.0\n1,0,3.5\n1,2,1.0\n2,1,5.0\n2,2,3.0\n3,0,1.0\n3,3,2.0\n")
+    code, out, err, caught = run_recording_warnings(
+        capsys, "train", ratings, "--out", tmp_path / "m.json", "--report", tmp_path / "rep.json",
+        "--k", 1, "--epochs", 1, "--lr", 1e-300, "--scale", 1.2e77, "--holdout", 0.5,
+        "--seed", 7,
+    )
+    assert (code, out, caught) == (1, "", [])
+    assert err == "error: rmse is inf: the model's predictions overflow\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+
+def test_simulate_overflowing_holdout_rmse_writes_nothing(tmp_path, capsys):
+    code, out, err, caught = run_recording_warnings(
+        capsys, "simulate", "--users", 6, "--events", 6, "--k", 1, "--epochs", 1,
+        "--lr", 1e-300, "--scale", 1.2e77, "--rounds", 0, "--holdout", 0.5, "--seed", 0,
+        "--out", tmp_path / "sim.json", "--csv", tmp_path / "sim.csv",
+    )
+    assert (code, out, caught) == (1, "", [])
+    assert err == "error: rmse is inf: the model's predictions overflow\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_recommend_overflowing_score_is_an_error(capsys, overflowing_model):
     model, ratings = overflowing_model
     code, out, err, caught = run_recording_warnings(capsys, "recommend", model, ratings, "--user", 0)

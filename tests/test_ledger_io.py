@@ -13,8 +13,9 @@ from hypothesis import strategies as st
 import echofeed._atomic
 import echofeed.cli
 import echofeed.ledger
-import echofeed.model
+from echofeed._atomic import dump_json
 from echofeed.cli import main
+from echofeed.errors import NonFiniteScoreError
 from echofeed.ledger import (
     Keypair,
     LedgerBlock,
@@ -121,8 +122,7 @@ def _save_ledger_midway(tmp_path, monkeypatch):
 def _save_model_midway(tmp_path, monkeypatch):
     path = tmp_path / "model.json"
     save_model(init_model(3, 3, 2, 0.0, 1), path)
-    monkeypatch.setattr(echofeed.model, "json",
-                        types.SimpleNamespace(dumps=_failing_after(0, None)))
+    _writes_fail_after(0, monkeypatch)
     return path, lambda: save_model(init_model(4, 4, 2, 0.0, 2), path)
 
 
@@ -150,7 +150,8 @@ def _report_midway(tmp_path, monkeypatch):
     csv.write_text("0,0,1\n1,1,2\n")
     train = ["train", str(csv), "--out", str(tmp_path / "model.json"), "--report", str(path)]
     assert quiet_main(*train, "--epochs", 2) == 0
-    monkeypatch.setattr(echofeed.cli, "json", types.SimpleNamespace(dumps=_failing_after(0, None)))
+    # the model is written first, then the report
+    _writes_fail_after(1, monkeypatch)
     return path, lambda: main([*train, "--epochs", "3"])
 
 
@@ -213,6 +214,15 @@ def test_failed_write_leaves_old_file(tmp_path, monkeypatch, capsys, setup):
         write()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
+def test_json_writer_refuses_non_finite_floats(tmp_path, value):
+    path = tmp_path / "out.json"
+    with pytest.raises(NonFiniteScoreError):
+        dump_json({"scores": [1.0, value]}, path)
+    assert list(tmp_path.iterdir()) == []
+    assert dump_json({"scores": [1.0, 0.1]}, path) == path.read_text() == '{"scores": [1.0, 0.1]}\n'
 
 
 def test_appending_no_blocks_leaves_the_file_alone(tmp_path):

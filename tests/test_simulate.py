@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from echofeed.errors import (
@@ -11,7 +11,7 @@ from echofeed.errors import (
     IndexOutOfRangeError,
     InvalidParameterError,
 )
-from echofeed.model import FactorModel, init_model, predict
+from echofeed.model import FactorModel, _dot, init_model, predict
 from echofeed.ratings import from_triplets
 from echofeed.simulate import (
     CommunityLabels,
@@ -81,6 +81,61 @@ def test_top_k_matches_full_sort_oracle(shape, seed, k_recs, exclude_observed, d
         recs = top_k(model, matrix, u, k_recs, exclude_observed=exclude_observed)
         assert list(recs.events) == oracle
         assert list(recs.scores) == [predict(model, u, i) for i in oracle]
+
+
+def full_sort_top_k(model, matrix, u, k_recs, exclude_observed):
+    """top_k's ranking as a stable sort of every candidate: events and scores."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        scores = _dot(model.event_factors, model.user_factors[u])
+    candidates = np.arange(model.n_events)
+    if exclude_observed:
+        lo, hi = np.searchsorted(matrix.users, (u, u + 1))
+        candidates = np.delete(candidates, matrix.events[lo:hi])
+    ranked = candidates[np.argsort(-scores[candidates], kind="stable")[:k_recs]]
+    return ranked, scores[ranked]
+
+
+# products of these overflow to +-inf, and inf - inf sums to nan
+_EDGE_FACTOR = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 2.0, 1e200, -1e200])
+
+
+@st.composite
+def edge_rankings(draw):
+    """(user rows, event rows, observed (user, event) pairs) of one factor size."""
+    k = draw(st.integers(1, 3))
+    row = st.lists(_EDGE_FACTOR, min_size=k, max_size=k)
+    n_events = draw(st.integers(1, 40))
+    users = draw(st.lists(row, min_size=1, max_size=3))
+    events = draw(st.lists(row, min_size=n_events, max_size=n_events))
+    pairs = st.tuples(st.integers(0, len(users) - 1), st.integers(0, n_events - 1))
+    return users, events, draw(st.sets(pairs))
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=edge_rankings(), k_recs=st.integers(1, 50), exclude_observed=st.booleans())
+# ties at the boundary: scores 0.0, -0.0, 1.0, 2.0 with k_recs 3, where
+# np.argpartition's first three are events 3, 2, 1 but the answer is 3, 2, 0
+@example(case=([[1.0]], [[0.0], [-0.0], [1.0], [2.0]], set()), k_recs=3, exclude_observed=False)
+# scores nan, nan, nan, 2e200: fewer than k_recs numbers, so the k-th key is nan
+@example(
+    case=([[1e200, 1e200]], [[1e200, -1e200]] * 3 + [[1.0, 1.0]], set()),
+    k_recs=3,
+    exclude_observed=False,
+)
+# k_recs at least the number of candidates: no partition
+@example(case=([[1.0], [2.0]], [[0.5], [-0.0], [1e200]], {(0, 2)}), k_recs=2, exclude_observed=True)
+def test_top_k_matches_stable_full_sort_on_edge_scores(case, k_recs, exclude_observed):
+    users, events, observed = case
+    model = manual_model(users, events)
+    matrix = from_triplets([(u, i, 1.0) for u, i in observed], len(users), len(events))
+    for u in range(len(users)):
+        expected, expected_scores = full_sort_top_k(model, matrix, u, k_recs, exclude_observed)
+        with np.errstate(all="raise"):
+            recs = top_k(model, matrix, u, k_recs, exclude_observed=exclude_observed)
+        assert list(recs.events) == expected.tolist()
+        # bit patterns: nan payloads and the sign of zero must match too
+        got = np.array(recs.scores, dtype=np.float64)
+        assert got.view(np.int64).tolist() == expected_scores.view(np.int64).tolist()
 
 
 def test_top_k_excludes_observed():

@@ -11,6 +11,7 @@ from echofeed.errors import (
     EmptyMatrixError,
     IndexOutOfRangeError,
     InvalidParameterError,
+    NonFiniteScoreError,
     NonFiniteUpdateError,
 )
 from echofeed.model import (
@@ -607,6 +608,14 @@ def test_rmse_matches_brute_force():
     for u, i, r in zip(matrix.users.tolist(), matrix.events.tolist(), matrix.values.tolist()):
         total += (r - predict(model, u, i)) ** 2
     assert rmse(model, matrix) == pytest.approx(math.sqrt(total / len(matrix)))
+
+
+@pytest.mark.parametrize("event_row", [[1e200], [-1e200], [1e200, -1e200]])
+def test_rmse_that_overflows_is_an_error(event_row):
+    # finite factors whose predictions overflow to inf, or to nan (inf - inf)
+    model = manual_model([[1e200] * len(event_row)], [event_row])
+    with np.errstate(all="raise"), pytest.raises(NonFiniteScoreError, match="rmse is (inf|nan)"):
+        rmse(model, from_triplets([(0, 0, 1.0)], 1, 1))
 
 
 def test_rmse_empty_matrix_rejected():
