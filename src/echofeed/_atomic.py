@@ -1,5 +1,5 @@
 """Whole-file writes that land completely or not at all, and the one
-writer of JSON that holds floats."""
+JSON writer."""
 
 from __future__ import annotations
 
@@ -32,8 +32,8 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
 
 
 def dump_json(doc, path: str | Path | None = None, **kwargs) -> str:
-    """doc as JSON text with a final newline, written atomically to path
-    when one is given; kwargs go to json.dumps.
+    """The one JSON writer: doc as JSON text with a final newline, written
+    atomically to path when one is given; kwargs go to json.dumps.
 
     JSON (RFC 8259) has no NaN or Infinity, so a non-finite float raises
     NonFiniteScoreError before anything is written.

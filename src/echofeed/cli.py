@@ -52,26 +52,16 @@ def _derive_seed(key_seed: int, index: int) -> bytes:
     return hashlib.sha256(f"{key_seed}:{index}".encode("ascii")).digest()
 
 
-def _write_keystore(path: Path, seeds: dict[int, bytes]) -> None:
-    doc = {str(idx): seed.hex() for idx, seed in sorted(seeds.items())}
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
-
-
 def _load_keystore(path: Path) -> dict[int, bytes]:
     """Every user's signing seed, each entry checked; no key is expanded."""
-    objects = []
     try:
-        # the hook sees every JSON object's members, the outermost last, so
-        # a key written twice is seen although the dict keeps only one
-        doc = json.loads(
-            path.read_text(encoding="utf-8"),
-            object_pairs_hook=lambda pairs: objects.append(pairs) or dict(pairs),
-        )
-        if not isinstance(doc, dict):
+        # every object decodes as the tuple of its members, so a key
+        # written twice is still there to be refused
+        doc = json.loads(path.read_text(encoding="utf-8"), object_pairs_hook=tuple)
+        if not isinstance(doc, tuple):
             raise TypeError(f"expected a JSON object, got {type(doc).__name__}")
         seeds = {}
-        for idx, text in objects[-1]:
+        for idx, text in doc:
             user = int(idx)
             if user in seeds:
                 raise ValueError(f"user {user} is listed more than once")
@@ -234,22 +224,19 @@ def cmd_ledger(args) -> int:
         chain = led.new_ledger(_now_or(args.timestamp))
         led.save_ledger(chain, args.out)
         if args.users:
-            seeds = {i: _derive_seed(args.key_seed, i) for i in range(args.users)}
-            _write_keystore(Path(args.keys), seeds)
+            keystore = {str(i): _derive_seed(args.key_seed, i).hex() for i in range(args.users)}
+            dump_json(keystore, args.keys, sort_keys=True, indent=2)
         print(f"initialized ledger at {args.out}")
         return 0
 
     if action == "import":
         account = led.import_profile(led.load_profile(args.profile))
-        print(
-            json.dumps(
-                {
-                    "public_key": account.public_key.hex(),
-                    "consent": account.consent,
-                    "balance": account.token_balance,
-                }
-            )
-        )
+        doc = {
+            "public_key": account.public_key.hex(),
+            "consent": account.consent,
+            "balance": account.token_balance,
+        }
+        print(dump_json(doc), end="")
         return 0
 
     chain = led.load_ledger(args.ledger)
@@ -257,21 +244,17 @@ def cmd_ledger(args) -> int:
         report = led.verify_chain(chain)
         print(report)
         return 0 if report.valid else 1
-    if action == "append":
+    if action in ("append", "consent"):
         kp = _keypair(_load_keystore(Path(args.keys)), args.user)
         ts = _now_or(args.timestamp)
-        if args.type == "credit":
+        if action == "consent":
+            block = led.set_consent(chain, kp, args.grant, ts)
+        elif args.type == "credit":
             block = led.credit_tokens(chain, kp, args.amount, ts)
         else:
             block = led.append_event(
                 chain, kp, led.PayloadType.POST, os.fsencode(args.payload), ts
             )
-        led.append_blocks([block], args.ledger)
-        print(f"appended block {block.index}")
-        return 0
-    if action == "consent":
-        kp = _keypair(_load_keystore(Path(args.keys)), args.user)
-        block = led.set_consent(chain, kp, args.grant, _now_or(args.timestamp))
         led.append_blocks([block], args.ledger)
         print(f"appended block {block.index}")
         return 0

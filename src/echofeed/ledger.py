@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Iterable, Mapping
 
 from . import _ed25519
-from ._atomic import atomic_write
+from ._atomic import atomic_write, dump_json
 from .errors import (
     InvalidPayloadError,
     ParseError,
@@ -421,7 +421,7 @@ def import_profile(profile: PortableProfile) -> UserAccount:
 
 
 def _block_line(block: LedgerBlock) -> str:
-    return json.dumps(block.to_json_dict(), sort_keys=True) + "\n"
+    return dump_json(block.to_json_dict(), sort_keys=True)
 
 
 def save_ledger(ledger: list[LedgerBlock], path: str | Path) -> None:
@@ -480,8 +480,7 @@ def save_profile(profile: PortableProfile, path: str | Path) -> None:
         "public_key_hex": profile.public_key.hex(),
         "blocks": [b.to_json_dict() for b in profile.blocks],
     }
-    with atomic_write(path) as fh:
-        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    dump_json(doc, path, sort_keys=True, indent=2)
 
 
 def load_profile(path: str | Path) -> PortableProfile:

@@ -7,11 +7,18 @@ and float text for an int flag. Sizes (--users, --events, --k,
 --communities) are drawn only from at most 30 or at least 2**63: a size in
 between may be a real allocation of gigabytes. --epochs and --rounds are
 always passed, and capped at 3 and 2.
+
+Every run that exits 0 leaves strict JSON (RFC 8259: no NaN or Infinity)
+in each JSON file it wrote, on each ledger line and on the stdout of
+`recommend` and `ledger import`; every run that exits 1 prints one
+`error:` line and writes no --out file.
 """
 
 import contextlib
 import io
+import json
 import shutil
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -85,15 +92,29 @@ def numeric_flags(draw, command, hostile):
     return [f"{f}={draw(FLAGS[f][f == hostile])}" for f in names]
 
 
+# a 3x3 model whose scores overflow for some users: with the events r.csv
+# leaves unobserved, user 0's only score is 0.0, user 1's is -inf, and
+# user 2's are -1e200 and -inf; every RMSE it gives on r.csv is inf
+EXTREME_MODEL = {
+    "k": 2,
+    "gamma": 0.0,
+    "user_factors": [[1.0, 0.0], [1e200, 1e200], [0.0, -1e200]],
+    "event_factors": [[1e200, 1.0], [1.0, -1e200], [0.0, 1e200]],
+}
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory):
-    """A ratings CSV, a model trained on it, a ledger in which all three
-    users consent, its keystore, and user 1's exported profile."""
+    """A ratings CSV, a model trained on it, a model whose scores overflow,
+    a ledger in which all three users consent, its keystore, and user 1's
+    exported profile."""
     d = tmp_path_factory.mktemp("inputs")
     paths = {name: str(d / name) for name in
-             ("r.csv", "m.json", "chain.jsonl", "keys.json", "p.json")}
+             ("r.csv", "m.json", "extreme.json", "chain.jsonl", "keys.json", "p.json")}
     with open(paths["r.csv"], "w") as fh:
         fh.write("0,0,4.0\n0,1,2.0\n1,0,3.5\n1,2,1.0\n2,1,5.0\n")
+    with open(paths["extreme.json"], "w") as fh:
+        json.dump(EXTREME_MODEL, fh)
     setup = [
         ["train", paths["r.csv"], "--out", paths["m.json"], "--epochs", "2"],
         ["ledger", "init", "--out", paths["chain.jsonl"], "--keys", paths["keys.json"],
@@ -104,19 +125,58 @@ def inputs(tmp_path_factory):
          "--user", "1", "--out", paths["p.json"]],
     ]
     for argv in setup:
-        assert run(argv) == (0, "")
+        code, _, err = run(argv)
+        assert (code, err) == (0, "")
     return paths
 
 
-def run(argv) -> tuple[int, str]:
-    """Exit code and stderr of one in-process run; any other exception escapes."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+def run(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process run; any other
+    exception escapes."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    return code, out.getvalue(), err.getvalue()
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def strict_json(text):
+    return json.loads(text, parse_constant=_refuse_constant)
+
+
+# command: the flags naming the JSON files an exit-0 run writes
+JSON_FILES = {
+    "train": ["--out", "--report"], "simulate": ["--out"], "recommend": ["--out"],
+    "init": ["--keys"], "export": ["--out"],
+}
+
+
+def check_strict_json(command, argv, stdout):
+    """Parse every JSON document an exit-0 run of argv left, refusing NaN
+    and Infinity."""
+    flags = dict(zip(argv, argv[1:]))
+    for flag in JSON_FILES.get(command, []):
+        path = Path(flags[flag])
+        # ledger init --users 0 writes no keystore
+        if command != "init" or path.exists():
+            strict_json(path.read_text(encoding="utf-8"))
+    if command == "init":
+        chain = flags["--out"]
+    elif command == "train":
+        chain = flags.get("--ledger")
+    else:
+        chain = argv[2] if argv[0] == "ledger" and command != "import" else None
+    if chain is not None:
+        for line in Path(chain).read_text(encoding="utf-8").splitlines():
+            strict_json(line)
+    if command in ("recommend", "import"):
+        strict_json(stdout)
 
 
 def command_line(draw, command, hostile, paths, fresh_path) -> list[str]:
@@ -129,8 +189,10 @@ def command_line(draw, command, hostile, paths, fresh_path) -> list[str]:
     tail = draw(numeric_flags(command, hostile)) if command in NUMERIC else []
     if command == "ingest":
         return ["ingest", paths["r.csv"], "--out", out]
+    if command in ("eval", "recommend"):
+        model = paths[draw(st.sampled_from(["m.json", "extreme.json"]))]
     if command == "eval":
-        return ["eval", paths["m.json"], paths["r.csv"]]
+        return ["eval", model, paths["r.csv"]]
     if command == "verify":
         return ["ledger", "verify", chain]
     if command == "import":
@@ -142,7 +204,7 @@ def command_line(draw, command, hostile, paths, fresh_path) -> list[str]:
     if command == "simulate":
         return ["simulate", "--out", out, "--csv", str(fresh_path()), *tail]
     if command == "recommend":
-        return ["recommend", paths["m.json"], paths["r.csv"], "--out", out, *tail]
+        return ["recommend", model, paths["r.csv"], "--out", out, *tail]
     if command == "init":
         return ["ledger", "init", "--out", out, "--keys", str(fresh_path()), *tail]
     if command == "append":
@@ -162,6 +224,12 @@ def command_line(draw, command, hostile, paths, fresh_path) -> list[str]:
 @given(data=st.data())
 def test_no_argv_ends_in_a_traceback(inputs, fresh_path, command, hostile, data):
     argv = command_line(data.draw, command, hostile, inputs, fresh_path)
-    code, err = run(argv)
+    code, out, err = run(argv)
     assert code in (0, 1, 2), (argv, code, err)
     assert "Traceback" not in err, (argv, err)
+    if code == 0:
+        check_strict_json(command, argv, out)
+    elif code == 1:
+        assert err.startswith("error: ") and err.count("\n") == 1, (argv, err)
+        if "--out" in argv:
+            assert not Path(argv[argv.index("--out") + 1]).exists(), argv

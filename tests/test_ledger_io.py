@@ -1,6 +1,7 @@
 """File writes: CLI ledger appends and atomic whole-file replacement."""
 
 import contextlib
+import hashlib
 import io
 import tempfile
 import types
@@ -11,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import echofeed._atomic
-import echofeed.cli
-import echofeed.ledger
+from echofeed import _ed25519
 from echofeed._atomic import dump_json
 from echofeed.cli import main
 from echofeed.errors import NonFiniteScoreError
@@ -130,7 +130,8 @@ def _keystore_midway(tmp_path, monkeypatch):
     path = tmp_path / "keys.json"
     assert quiet_main("ledger", "init", "--out", tmp_path / "chain.jsonl", "--keys", path,
                       "--users", 2) == 0
-    monkeypatch.setattr(echofeed.cli, "json", types.SimpleNamespace(dumps=_failing_after(0, None)))
+    # the chain is written first, then the keystore
+    _writes_fail_after(1, monkeypatch)
     return path, lambda: main(["ledger", "init", "--out", str(tmp_path / "chain.jsonl"),
                                "--keys", str(path), "--users", "3", "--key-seed", "1"])
 
@@ -140,8 +141,7 @@ def _save_profile_midway(tmp_path, monkeypatch):
     led = _ledger(3)
     author = led[1].author
     save_profile(export_profile(_ledger(1), author), path)
-    monkeypatch.setattr(echofeed.ledger, "json",
-                        types.SimpleNamespace(dumps=_failing_after(0, None)))
+    _writes_fail_after(0, monkeypatch)
     return path, lambda: save_profile(export_profile(led, author), path)
 
 
@@ -156,14 +156,16 @@ def _report_midway(tmp_path, monkeypatch):
 
 
 def _writes_fail_after(n, monkeypatch):
-    """The first n writes through atomic_write, counted over all its handles,
-    succeed; the next one raises, as on a full disk."""
+    """The first n writes through atomic_write, counted over all its handles
+    (a writelines call is one write), succeed; the next one raises, as on a
+    full disk."""
     write = _failing_after(n, lambda fh, text: fh.write(text))
 
     @contextlib.contextmanager
     def failing_open(*args, **kwargs):
         with open(*args, **kwargs) as fh:
-            yield types.SimpleNamespace(write=lambda text: write(fh, text))
+            yield types.SimpleNamespace(write=lambda text: write(fh, text),
+                                        writelines=lambda lines: write(fh, "".join(lines)))
 
     monkeypatch.setattr(echofeed._atomic, "open", failing_open, raising=False)
 
@@ -234,3 +236,44 @@ def test_appending_no_blocks_leaves_the_file_alone(tmp_path):
     missing = tmp_path / "missing.jsonl"
     append_blocks([], missing)
     assert not missing.exists()
+
+
+# sha256 of what the session in test_ledger_files_keep_their_bytes leaves
+PINNED_SHA256 = {
+    "keys.json": "8070ff36841445f2e1a83f5fa3217d109350f2e8539f6dda1aee3186d9f17c1b",
+    "chain.jsonl": "9428a6e3820df9bc666baa5ac95b63d21961afb39756e1b9ed5aba2223d2e890",
+    "profile.json": "0910cbb3bf23d49264987f511ff36b47189851f83d0e93c2edfabaf8e4c14ac8",
+    "import stdout": "f1566935a09ad58b53a952b7bf205c53d77375c1771bf0c77531f422c993847c",
+}
+
+
+@pytest.mark.parametrize("backend", ["libsodium", "cryptography"])
+def test_ledger_files_keep_their_bytes(tmp_path, monkeypatch, capsys, backend):
+    """A fixed session writes the same keystore, chain, profile and import
+    output byte for byte. Ed25519 signatures are deterministic, so one set
+    of digests holds on both signature backends."""
+    if backend == "cryptography":
+        monkeypatch.setattr(_ed25519, "_sodium", None)
+    elif _ed25519._sodium is None:
+        pytest.skip("libsodium is not loaded")
+    chain, keys = tmp_path / "chain.jsonl", tmp_path / "keys.json"
+    profile = tmp_path / "profile.json"
+    signed = [chain, "--keys", keys, "--user", 1]
+    for argv in [
+        ["ledger", "init", "--out", chain, "--keys", keys, "--users", 2, "--key-seed", 0,
+         "--timestamp", 5],
+        ["ledger", "consent", *signed, "--grant", "--timestamp", 6],
+        ["ledger", "append", *signed, "--payload", "hello", "--timestamp", 7],
+        ["ledger", "append", *signed, "--type", "credit", "--amount", 3, "--timestamp", 8],
+        ["ledger", "export", *signed, "--out", profile],
+    ]:
+        assert quiet_main(*argv) == 0
+    assert main(["ledger", "import", str(profile)]) == 0
+    outputs = {
+        "keys.json": keys.read_bytes(),
+        "chain.jsonl": chain.read_bytes(),
+        "profile.json": profile.read_bytes(),
+        "import stdout": capsys.readouterr().out.encode(),
+    }
+    digests = {name: hashlib.sha256(data).hexdigest() for name, data in outputs.items()}
+    assert digests == PINNED_SHA256
