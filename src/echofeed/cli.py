@@ -218,6 +218,8 @@ def cmd_simulate(args) -> int:
 def cmd_ledger(args) -> int:
     action = args.action
     if action == "init":
+        if args.users < 0:
+            raise InvalidParameterError(f"--users must be >= 0, got {args.users}")
         # keystore indices name ratings users, whose indices are int64
         if args.users >= 2**63:
             raise InvalidParameterError(f"--users must fit in int64, got {args.users}")

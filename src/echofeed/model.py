@@ -17,6 +17,7 @@ from .errors import (
     DimensionMismatchError,
     InvalidDimensionError,
     InvalidParameterError,
+    NonFiniteScoreError,
     ParseError,
 )
 from .ratings import RatingMatrix, check_index
@@ -124,10 +125,17 @@ def _residuals(model: FactorModel, matrix: RatingMatrix) -> np.ndarray:
 
 
 def predict(model: FactorModel, u: int, i: int) -> float:
-    """Predicted engagement for (user u, event i): the factor dot product."""
+    """Predicted engagement for (user u, event i): the factor dot product.
+
+    Raises NonFiniteScoreError when the product of finite factors overflows.
+    """
     check_index("user", u, model.n_users)
     check_index("event", i, model.n_events)
-    return float(_dot(model.user_factors[u], model.event_factors[i]))
+    with np.errstate(over="ignore", invalid="ignore"):
+        score = float(_dot(model.user_factors[u], model.event_factors[i]))
+    if not math.isfinite(score):
+        raise NonFiniteScoreError(f"score of user {u}, event {i} is {score!r}")
+    return score
 
 
 def l2_penalty(model: FactorModel) -> float:

@@ -31,8 +31,6 @@ from .errors import (
 )
 
 _HEADER_RE = re.compile(r"^#\s*users\s*=\s*(\d+)\s+events\s*=\s*(\d+)\s*$")
-# plain ints: np.iinfo's min and max are properties computed on each read
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 _ROW = np.dtype([("u", np.int64), ("e", np.int64), ("v", np.float64)])
 _NUMPY_1 = np.lib.NumpyVersion(np.__version__) < "2.0.0"
 
@@ -81,52 +79,55 @@ def check_index(kind: str, index: int, n: int) -> None:
         raise IndexOutOfRangeError(f"{kind} index {index} outside [0, {n})")
 
 
-def _check_triplet(triplet, n_users, n_events) -> tuple[int, int, float]:
-    """The triplet converted with int() and float(), checked in reporting
-    order: unpacking, conversion, index range, value, int64 fit."""
-    user, event, value = triplet
-    user = int(user)
-    event = int(event)
-    check_index("user", user, n_users)
-    check_index("event", event, n_events)
-    value = float(value)
-    if not math.isfinite(value) or value < 0:
-        raise InvalidValueError(f"rating value must be finite and >= 0, got {value}")
-    if not (_INT64_MIN <= user <= _INT64_MAX and _INT64_MIN <= event <= _INT64_MAX):
-        raise IndexOutOfRangeError(f"index of triplet {triplet} does not fit in int64")
-    return user, event, value
+def _first_fault(triplets, n_users, n_events) -> None:
+    """Raise for the first triplet, in input order, that breaks a rule.
+
+    Each triplet is checked in reporting order: unpacking, int() of the
+    indices, index range, float() of the value, value finite and >= 0, index
+    fits int64, and a (user, event) pair seen earlier with a different value.
+    The vectorised checks of _build and from_triplets only detect a fault;
+    this scan names it.
+    """
+    seen = {}
+    for triplet in triplets:
+        user, event, value = triplet
+        user = int(user)
+        event = int(event)
+        check_index("user", user, n_users)
+        check_index("event", event, n_events)
+        value = float(value)
+        if not math.isfinite(value) or value < 0:
+            raise InvalidValueError(f"rating value must be finite and >= 0, got {value}")
+        if max(user, event) >= 2**63:
+            raise IndexOutOfRangeError(f"index of triplet {triplet} does not fit in int64")
+        key = (user, event)
+        if seen.get(key, value) != value:
+            raise DuplicateEntryError(
+                f"duplicate entry for user {user}, event {event}: {seen[key]} vs {value}"
+            )
+        seen[key] = value
 
 
 def _build(users, events, values, n_users, n_events) -> RatingMatrix:
     """Matrix from parallel columns given in input order.
 
-    Errors are reported for the first offending triplet in input order,
-    exactly as a triplet-by-triplet scan would: a bad index or value, or a
-    (user, event) pair seen earlier with a different value.
+    The masks here only detect a bad index or value, or a (user, event) pair
+    repeated with a different value; on any, _first_fault names the first
+    offending triplet in input order.
     """
-    bad = ~((users >= 0) & (users < n_users) & (events >= 0) & (events < n_events))
-    bad |= ~np.isfinite(values) | (values < 0)
-    first_bad = int(np.argmax(bad)) if bad.any() else len(bad)
-    su, se, sv = users[:first_bad], events[:first_bad], values[:first_bad]
+    ok = (users >= 0) & (users < n_users) & (events >= 0) & (events < n_events)
+    ok &= np.isfinite(values) & (values >= 0)
+    su, se, sv = users, events, values
     # columns already in (user, event) order, as write_csv writes them, are
     # what the stable sort would return, so it is skipped
-    order = None
     if not np.all((su[1:] > su[:-1]) | ((su[1:] == su[:-1]) & (se[1:] >= se[:-1]))):
         # stable, so each run of one (user, event) pair stays in input order
         order = np.lexsort((se, su))
         su, se, sv = su[order], se[order], sv[order]
     repeated = (su[1:] == su[:-1]) & (se[1:] == se[:-1])
-    clashes = np.flatnonzero(repeated & (sv[1:] != sv[:-1]))
-    if len(clashes):
-        # the clash whose second triplet comes first in input order
-        j = clashes[0] if order is None else clashes[np.argmin(order[clashes + 1])]
-        raise DuplicateEntryError(
-            f"duplicate entry for user {int(su[j])}, event {int(se[j])}: "
-            f"{float(sv[j])} vs {float(sv[j + 1])}"
-        )
-    if first_bad < len(bad):
-        # raises: the scalar checks mirror the mask
-        _check_triplet((users[first_bad], events[first_bad], values[first_bad]), n_users, n_events)
+    if not ok.all() or np.any(repeated & (sv[1:] != sv[:-1])):
+        # raises: the scalar checks mirror the masks
+        _first_fault(zip(users.tolist(), events.tolist(), values.tolist()), n_users, n_events)
     keep = np.concatenate(([True], ~repeated)) & (sv != 0.0)
     return RatingMatrix(n_users, n_events, su[keep], se[keep], sv[keep])
 
@@ -139,31 +140,23 @@ def from_triplets(
     Zero-valued triplets are dropped (unobserved). Exact duplicate triplets
     collapse to one observation; the same (user, event) with differing
     values is an error. Input order does not matter, except that the first
-    offending triplet in input order is the one reported.
+    offending triplet in input order is the one reported: a triplet that
+    int(), float() or an int64 column refuses sends the whole input to
+    _first_fault, which names it.
     """
     if n_users < 0 or n_events < 0:
         raise InvalidParameterError("matrix dimensions must be non-negative")
+    rows = list(triplets)
     users, events, values = [], [], []
-    for row in triplets:
-        try:
-            user, event, value = row
-            user, event, value = int(user), int(event), float(value)
-            if not (_INT64_MIN <= user <= _INT64_MAX and _INT64_MIN <= event <= _INT64_MAX):
-                raise OverflowError
-        except (ValueError, TypeError, OverflowError):
-            # errors in the triplets before this one are reported first
-            _build(
-                np.array(users, np.int64), np.array(events, np.int64),
-                np.array(values, np.float64), n_users, n_events,
-            )
-            user, event, value = _check_triplet(row, n_users, n_events)
-        users.append(user)
-        events.append(event)
-        values.append(value)
-    return _build(
-        np.array(users, np.int64), np.array(events, np.int64),
-        np.array(values, np.float64), n_users, n_events,
-    )
+    try:
+        for user, event, value in rows:
+            users.append(int(user))
+            events.append(int(event))
+            values.append(float(value))
+        columns = np.array(users, np.int64), np.array(events, np.int64), np.array(values)
+    except (ValueError, TypeError, OverflowError):
+        _first_fault(rows, n_users, n_events)  # raises, at this triplet or an earlier one
+    return _build(*columns, n_users, n_events)
 
 
 def _parse_bulk(text: str):

@@ -502,6 +502,18 @@ def test_ledger_init_oversized_user_count_is_a_domain_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_ledger_init_negative_user_count_is_a_domain_error(tmp_path, capsys):
+    # no keypairs to derive is no reason to write a chain or an empty keystore
+    code, stdout, err = run(
+        capsys, "ledger", "init", "--out", tmp_path / "chain.jsonl",
+        "--keys", tmp_path / "keys.json", "--users", -3,
+    )
+    assert code == 1
+    assert stdout == ""
+    assert err == "error: --users must be >= 0, got -3\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_ledger_append_and_tamper_detection(tmp_path, capsys, consent_env):
     ledger, keys = consent_env
     code, _, _ = run(

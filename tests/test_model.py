@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from echofeed.errors import (
     IndexOutOfRangeError,
     InvalidDimensionError,
     InvalidParameterError,
+    NonFiniteScoreError,
     ParseError,
 )
 from echofeed.model import (
@@ -119,6 +121,19 @@ def test_predict_is_bilinear():
         m1 = manual_model([x], [y])
         m2 = manual_model([c * x], [y])
         assert predict(m2, 0, 0) == pytest.approx(c * predict(m1, 0, 0), abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "event_row, score", [([1e200, 1e200], "inf"), ([1e200, -1e200], "nan")], ids=["inf", "nan"]
+)
+def test_predict_overflow_is_a_domain_error(event_row, score):
+    # finite factors whose product overflows: an error, not a numpy warning
+    m = manual_model([[1.0, 1.0], [1e200, 1e200]], [[1.0, 1.0], event_row])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteScoreError, match=f"^score of user 1, event 1 is {score}$"):
+            predict(m, 1, 1)
+        assert predict(m, 1, 0) == 2e200
 
 
 # --- objective / penalty ---

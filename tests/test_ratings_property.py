@@ -244,6 +244,13 @@ LINE = st.one_of(
 @example(["# caf\xe9 \x1f", "0,0,1", "1\x1f,1,2"], "\n", True)
 # a "#" after a value is no comment, as numpy's comments="#" would make it
 @example(["# users=3 events=3", "0,0,1", "1,2,2 #x"], "\n", True)
+# the clash that comes first in input order sorts second, and is reported
+@example(["1,1,1", "0,0,1", "1,1,2", "0,0,2"], "\n", True)
+# a clash before a bad index is reported, and a bad index before a clash
+@example(["# users=2 events=2", "0,0,1", "0,0,2", "5,0,1"], "\n", True)
+@example(["# users=2 events=2", "5,0,1", "0,0,1", "0,0,2"], "\n", True)
+# a clash in a file already in write_csv's (user, event) order: the sort is skipped
+@example(["# users=2 events=2", "0,0,1.0", "0,1,1.0", "0,1,2.0", "1,0,1.0"], "\n", True)
 def test_load_csv_matches_reference(tmp_path_factory, lines, newline, trailing):
     path = tmp_path_factory.mktemp("csv") / "m.csv"
     path.write_bytes((newline.join(lines) + (newline if trailing else "")).encode("utf-8"))
