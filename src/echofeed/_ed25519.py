@@ -6,17 +6,18 @@ measured on, which matters when validating long chains. Ed25519 signatures
 are deterministic (RFC 8032), so both backends produce byte-identical
 output; the fallback keeps the package working without libsodium.
 
-first_invalid checks a batch of signatures. _valid is the one
-per-signature check (verify calls it too) and _first_invalid_in the one
-loop that runs it over a range of the batch. Each check is independent,
-and ctypes releases the interpreter lock for the length of a libsodium
-call, so on libsodium a batch of at least PARALLEL_FLOOR signatures is
-split into one contiguous chunk per CPU this process may run on, and the
-chunks run at once on a lazily started thread pool. The cryptography
-fallback holds the lock while it verifies, so threads only add hand-offs
-there: it, a short batch and a single CPU stay on the calling thread. Pool
-threads call only these private functions, never verify or sign, so a
-caller may wrap the public ones with code that is not thread-safe.
+first_invalid checks a batch of signatures. _valid is the one per-signature
+check (verify calls it too) and _first_invalid_in the one loop that runs it
+over a range of the batch. Each check is independent, and ctypes releases
+the interpreter lock for the length of a libsodium call, so on libsodium a
+batch of at least PARALLEL_FLOOR signatures is split into one contiguous
+chunk per CPU this process may run on, and the chunks run at once on one
+pool made at import, whose threads start with the first batch it is given.
+The cryptography fallback holds the lock while it verifies, so threads only
+add hand-offs there: it, a short batch and a single CPU stay on the calling
+thread. Pool threads call only these private functions, never verify or
+sign, so a caller may wrap the public ones with code that is not
+thread-safe.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from __future__ import annotations
 import ctypes
 import ctypes.util
 import os
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import Sequence
 
@@ -131,28 +131,16 @@ def _cpus() -> int:
         return os.cpu_count() or 1
 
 
-_pool: ThreadPoolExecutor | None = None
-_pool_lock = threading.Lock()
-
-
-def _executor(workers: int) -> ThreadPoolExecutor:
+def _new_pool() -> None:
+    # no thread starts until work is submitted; a forked child inherits the
+    # pool but none of its threads, so it gets a pool of its own
     global _pool
-    with _pool_lock:
-        if _pool is None:
-            _pool = ThreadPoolExecutor(workers, thread_name_prefix="ed25519-verify")
-        return _pool
+    _pool = ThreadPoolExecutor(max(_cpus() - 1, 1), thread_name_prefix="ed25519-verify")
 
 
-def _forget_pool() -> None:
-    # a forked child inherits the pool object but none of its threads, so
-    # work submitted to it would never run; the lock may have been held
-    global _pool, _pool_lock
-    _pool = None
-    _pool_lock = threading.Lock()
-
-
+_new_pool()
 if hasattr(os, "register_at_fork"):
-    os.register_at_fork(after_in_child=_forget_pool)
+    os.register_at_fork(after_in_child=_new_pool)
 
 
 def first_invalid(items: Sequence[tuple[bytes, bytes, bytes]]) -> int | None:
@@ -164,9 +152,8 @@ def first_invalid(items: Sequence[tuple[bytes, bytes, bytes]]) -> int | None:
         return _first_invalid_in(items, 0, len(items))
     chunks = min(cpus, len(items))
     bounds = [len(items) * c // chunks for c in range(chunks + 1)]
-    pool = _executor(cpus - 1)
     futures = [
-        pool.submit(_first_invalid_in, items, bounds[c], bounds[c + 1])
+        _pool.submit(_first_invalid_in, items, bounds[c], bounds[c + 1])
         for c in range(1, chunks)
     ]
     # the calling thread takes chunk 0; a chunk stops at its own first

@@ -10,6 +10,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
 import hashlib
 import json
@@ -204,13 +205,10 @@ def cmd_simulate(args) -> int:
         )
     dump_json(rows, args.out, indent=2)
     if args.csv:
-        lines = [",".join(METRIC_COLUMNS)]
-        for row in rows:
-            lines.append(
-                ",".join("" if row[c] is None else repr(row[c]) for c in METRIC_COLUMNS)
-            )
         with atomic_write(args.csv) as fh:
-            fh.write("\n".join(lines) + "\n")
+            writer = csv.DictWriter(fh, METRIC_COLUMNS, lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(rows)
     print(f"wrote {len(rows)} rounds to {args.out}")
     return 0
 

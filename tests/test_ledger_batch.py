@@ -155,11 +155,11 @@ def assert_matches_oracle(blocks) -> None:
 
 @pytest.fixture
 def fresh_pool(monkeypatch):
-    """No pool at the start; a pool the test starts is shut down after it."""
-    monkeypatch.setattr(_ed25519, "_pool", None)
+    """A new pool, with no thread started, that is shut down after the test."""
+    monkeypatch.setattr(_ed25519, "_pool", _ed25519._pool)
+    _ed25519._new_pool()
     yield
-    if _ed25519._pool is not None:
-        _ed25519._pool.shutdown(wait=True)
+    _ed25519._pool.shutdown(wait=True)
 
 
 @pytest.fixture
@@ -301,12 +301,13 @@ def test_bad_signature_before_a_structural_fault_wins(chunked, later):
 def test_lowest_of_two_bad_signatures_in_different_chunks_wins(chunked):
     # 23 signatures in three chunks: blocks 1-7, 8-15 and 16-23; chunk 0
     # runs on the calling thread, so both failures come from the pool
+    before = verifier_threads()
     blocks = list(BASE)
     with_bad_signature(blocks, 20)
     with_bad_signature(blocks, 10)
     assert chain_outcome(blocks) == (False, 10, BAD_SIGNATURE) == oracle_verify_chain(blocks)
     assert_matches_oracle(blocks)
-    assert (_ed25519._pool is not None) == SODIUM
+    assert bool(verifier_threads() - before) == SODIUM
 
 
 def test_out_of_order_profile_block_with_bad_signature_says_bad_signature(chunked):
@@ -332,6 +333,7 @@ def verifier_threads() -> set:
 def test_pool_threads_call_no_public_signature_function(monkeypatch, chunked):
     # a caller may wrap verify and sign with code that is not thread-safe
     # (a tracer appending spans, say), so only the calling thread may call them
+    before = verifier_threads()
     bad_sig = list(BASE)
     with_bad_signature(bad_sig, 20)
     chains = [list(BASE), bad_sig]
@@ -352,28 +354,30 @@ def test_pool_threads_call_no_public_signature_function(monkeypatch, chunked):
         monkeypatch.setattr(_ed25519, name, main_thread_only(getattr(_ed25519, name)))
     got = [chain_outcome(c) for c in chains] + [profile_outcome(p) for p in profiles]
     assert got == want
-    assert (_ed25519._pool is not None) == SODIUM
+    assert bool(verifier_threads() - before) == SODIUM
 
 
 def test_fallback_starts_no_thread(monkeypatch, fresh_pool):
     chain = build_chain(64)
     monkeypatch.setattr(_ed25519, "_sodium", None)
     before = threading.active_count()
+    threads_before = verifier_threads()
     assert verify_chain(chain).valid
     assert import_profile(export_profile(chain, KEYS[0].public_key)).public_key == KEYS[0].public_key
     assert _ed25519.first_invalid(TRIPLES) is None
-    assert _ed25519._pool is None
+    assert not verifier_threads() - threads_before
     assert threading.active_count() == before
 
 
 @needs_sodium
 def test_short_batch_starts_no_thread(fresh_pool):
     before = threading.active_count()
+    threads_before = verifier_threads()
     floor = _ed25519.PARALLEL_FLOOR
     assert _ed25519.first_invalid(TRIPLES[: floor - 1]) is None
     # genesis is unsigned, so this chain holds floor - 1 signatures
     assert verify_chain(build_chain(floor)).valid
-    assert _ed25519._pool is None
+    assert not verifier_threads() - threads_before
     assert threading.active_count() == before
 
 
@@ -384,7 +388,7 @@ def test_pool_never_exceeds_affinity_cpus(fresh_pool):
         assert _ed25519.first_invalid(TRIPLES) is None
     # the calling thread takes one chunk, the pool the others
     assert len(verifier_threads() - before) <= CPUS - 1
-    assert (_ed25519._pool is not None) == (CPUS > 1)
+    assert bool(verifier_threads() - before) == (CPUS > 1)
 
 
 @needs_sodium
@@ -415,6 +419,40 @@ def test_concurrent_batches_share_one_pool(fresh_pool):
     assert all(want == got for runs in results.values() for want, got in runs)
     # a second pool would have started threads of its own
     assert len(verifier_threads() - before) <= CPUS - 1
+
+
+FORKED_CHECK = """
+import os, signal
+from echofeed import _ed25519
+from echofeed.ledger import Keypair
+
+_ed25519.PARALLEL_FLOOR = 1
+_ed25519._cpus = lambda: 3
+kp = Keypair(bytes([7]) * 32)
+items = [(kp.public_key, kp.sign(bytes([i])), bytes([i])) for i in range(40)]
+assert _ed25519.first_invalid(items) is None  # starts the pool's threads
+pid = os.fork()
+if pid == 0:
+    signal.alarm(20)  # a hang kills the child instead of leaving it running
+    items[30] = (kp.public_key, bytes(64), items[30][2])
+    os._exit(0 if _ed25519.first_invalid(items) == 30 else 1)
+_, status = os.waitpid(pid, 0)
+raise SystemExit(os.waitstatus_to_exitcode(status))
+"""
+
+
+@needs_sodium
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="no os.fork on this platform")
+def test_forked_child_checks_signatures_on_its_own_pool():
+    # the child inherits the parent's pool object but none of its threads
+    src = str(Path(echofeed.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run(
+        [sys.executable, "-c", FORKED_CHECK],
+        capture_output=True, text=True, timeout=60, env=env,
+    )
+    assert done.returncode == 0, done.stderr
 
 
 def test_cli_verify_exits_with_the_pool_started(tmp_path):

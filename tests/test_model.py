@@ -306,3 +306,12 @@ def test_load_model_rejects_zero_width(tmp_path):
     p.write_text('{"k": 0, "gamma": 0.0, "user_factors": [[]], "event_factors": [[]]}')
     with pytest.raises(InvalidDimensionError, match="k must be >= 1, got 0"):
         load_model(p)
+
+
+@pytest.mark.parametrize("gamma", ["-0.5", "NaN", "Infinity"])
+def test_load_model_rejects_a_negative_or_non_finite_gamma(tmp_path, gamma):
+    # JSON has no NaN or Infinity, but json.loads reads both tokens
+    p = tmp_path / "bad.json"
+    p.write_text(f'{{"k": 1, "gamma": {gamma}, "user_factors": [[1.0]], "event_factors": [[1.0]]}}')
+    with pytest.raises(InvalidParameterError, match="gamma must be finite and >= 0"):
+        load_model(p)
