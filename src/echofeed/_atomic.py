@@ -13,17 +13,21 @@ from .errors import NonFiniteScoreError
 
 
 @contextmanager
-def atomic_write(path: str | Path) -> Iterator[TextIO]:
+def atomic_write(path: str | Path, mode: int = 0o666) -> Iterator[TextIO]:
     """UTF-8 text handle whose contents replace `path` on a clean exit.
 
     The text goes to a temporary file in the same directory, which
-    os.replace swaps in. If the block raises, the temporary file is removed
-    and `path` keeps its old bytes.
+    os.replace swaps in. That file is created with the permission bits
+    `mode`, less the umask, before any byte is written to it. If the block
+    raises, the temporary file is removed and `path` keeps its old bytes.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        # a stale temporary file would keep its own permission bits
+        tmp.unlink(missing_ok=True)
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, mode)
+        with open(fd, "w", encoding="utf-8") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -31,9 +35,10 @@ def atomic_write(path: str | Path) -> Iterator[TextIO]:
         raise
 
 
-def dump_json(doc, path: str | Path | None = None, **kwargs) -> str:
+def dump_json(doc, path: str | Path | None = None, mode: int = 0o666, **kwargs) -> str:
     """The one JSON writer: doc as JSON text with a final newline, written
-    atomically to path when one is given; kwargs go to json.dumps.
+    atomically to path, with permission bits mode, when one is given; kwargs
+    go to json.dumps.
 
     JSON (RFC 8259) has no NaN or Infinity, so a non-finite float raises
     NonFiniteScoreError before anything is written.
@@ -43,6 +48,6 @@ def dump_json(doc, path: str | Path | None = None, **kwargs) -> str:
     except ValueError as exc:
         raise NonFiniteScoreError(f"refusing to write non-finite JSON ({exc})") from exc
     if path is not None:
-        with atomic_write(path) as fh:
+        with atomic_write(path, mode) as fh:
             fh.write(text)
     return text

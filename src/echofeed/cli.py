@@ -225,7 +225,8 @@ def cmd_ledger(args) -> int:
         led.save_ledger(chain, args.out)
         if args.users:
             keystore = {str(i): _derive_seed(args.key_seed, i).hex() for i in range(args.users)}
-            dump_json(keystore, args.keys, sort_keys=True, indent=2)
+            # every signing seed: readable by the owner alone
+            dump_json(keystore, args.keys, 0o600, sort_keys=True, indent=2)
         print(f"initialized ledger at {args.out}")
         return 0
 
@@ -289,7 +290,10 @@ def build_parser() -> argparse.ArgumentParser:
     train_flags.add_argument("--seed", type=int, default=0)
     train_flags.add_argument("--scale", type=float, default=0.1, help="init scale")
     train_flags.add_argument("--tolerance", type=float, default=0.0, help="early-stop tolerance")
-    train_flags.add_argument("--no-shuffle", action="store_true")
+    train_flags.add_argument(
+        "--no-shuffle", action="store_true",
+        help="run each epoch's waves in sorted order instead of a seeded random one",
+    )
 
     p = sub.add_parser("ingest", help="validate a ratings CSV and write it back canonically")
     p.add_argument("csv")

@@ -9,25 +9,33 @@ error is absorbed into the learning rate, so a step moves along
 the unhalved analytic gradient of the objective itself.
 
 An epoch is defined as its steps run one after another in a seeded order,
-but it runs them in waves. A step's wave is one more than the latest wave
-that touched its user row or its event row, so no row repeats within a
-wave, and each step reads the rows that exactly the steps before it in the
-order left behind. Steps on disjoint rows commute (as in Hogwild! and
-DSGD), so one numpy pass per wave updates them all. Each new entry is
-computed with the same IEEE operations, in the same order, as one scalar
-step, and the dot product is summed left to right from 0.0 by model._dot,
-the sum scoring uses. The trained factors are therefore bit-identical to
-the sequential order's, and depend on neither BLAS, numpy, array layout nor
-the Python version. The first step in the order whose update is not finite
-also ran on its sequential inputs, so training stops at the same step as
-the sequential order would. Only the objective and rmse totals over
-observations use numpy reductions.
+and that order is built from waves, with numpy sorts alone (stratified SGD,
+as in Gemulla et al., KDD 2011). A permutation of the observations is drawn
+as a stable argsort of raw PCG64 draws. Within it, a is a step's rank among
+its user's steps and b its rank among the steps that share its (a, event),
+so an (a, b) class repeats no user row and no event row. Those classes are
+the waves. They run in the order of one more raw draw per wave, and each
+keeps its steps in permutation order; the epoch's order is their
+concatenation. Without shuffling, the permutation is the sorted order and
+the waves run in (a, b) order. The raw PCG64 stream is fixed by NEP 19, so
+the order depends on the seed alone, not on the numpy version.
+
+Steps on disjoint rows commute (as in Hogwild! and DSGD), so one numpy pass
+per wave updates them all, and each step reads the rows that exactly the
+steps before it in the order left behind. Each new entry is computed with
+the same IEEE operations, in the same order, as one scalar step, and the
+dot product is summed left to right from 0.0 by model._dot, the sum scoring
+uses. The trained factors are therefore bit-identical to the sequential
+order's, and depend on neither BLAS, numpy, array layout nor the Python
+version. The first step in the order whose update is not finite also ran on
+its sequential inputs, so training stops at the same step as the sequential
+order would. Only the objective and rmse totals over observations use numpy
+reductions.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +46,7 @@ from .errors import (
     NonFiniteScoreError,
     NonFiniteUpdateError,
 )
-from .model import FactorModel, _dot, _residuals, check_dimensions, objective
+from .model import FactorModel, _dot, _residuals, _rng, check_dimensions, objective
 from .ratings import RatingMatrix, check_index
 
 
@@ -57,6 +65,8 @@ class TrainConfig:
             raise InvalidParameterError(
                 f"learning_rate must be finite and > 0, got {self.learning_rate}"
             )
+        if self.seed < 0:
+            raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise InvalidParameterError(f"epochs must be >= 1, got {self.epochs}")
         if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
@@ -103,26 +113,47 @@ def _wave(uf, ef, u, i, r, lr, gamma):
     return nx, ny, np.isfinite(sx) & np.isfinite(sy)
 
 
-def _waves(order, users, events, n_users, n_events):
-    """Order positions sorted by wave, and each wave's end in that sorting.
+def _stable_argsort(keys):
+    """np.argsort(keys, kind="stable") for keys >= 0, sorted as the narrowest
+    unsigned type that holds them: numpy radix-sorts 8- and 16-bit keys."""
+    return np.argsort(keys.astype(np.min_scalar_type(keys.max())), kind="stable")
 
-    A step's wave is one more than the latest wave of an earlier step on its
-    user row or its event row, counting from 1; within a wave, positions
-    ascend.
+
+def _ranks(keys):
+    """Each slot's rank among the slots before it with the same key."""
+    by_key = _stable_argsort(keys)
+    sorted_keys = keys[by_key]
+    index = np.arange(len(keys))
+    first = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
+    ranks = np.empty_like(by_key)
+    ranks[by_key] = index - np.maximum.accumulate(np.where(first, index, 0))
+    return ranks
+
+
+def _schedule(users, events, n_events, rng):
+    """One epoch's order of observation slots, and each wave's end in it.
+
+    a and b are the ranks of the module docstring, taken in perm order. The
+    rng draws perm and the wave order; without one, both are sorted.
     """
-    last_user = [0] * n_users
-    last_event = [0] * n_events
-    levels = []
-    for t in order:
-        u = users[t]
-        i = events[t]
-        a = last_user[u]
-        b = last_event[i]
-        level = (a if a > b else b) + 1
-        last_user[u] = last_event[i] = level
-        levels.append(level)
-    levels = np.array(levels)
-    return np.argsort(levels, kind="stable"), np.cumsum(np.bincount(levels)[1:])
+    n = len(users)
+    if rng is None:
+        perm = np.arange(n)
+    else:
+        perm = np.argsort(rng.bit_generator.random_raw(n), kind="stable")
+    a = _ranks(users[perm])
+    # a user rates an event once, so a < n_events and the key < n_events**2
+    b = _ranks(a * n_events + events[perm])
+    # the waves numbered in (a, b) order: level a holds max(b) + 1 of them
+    per_level = np.zeros(a.max() + 2, dtype=np.int64)
+    np.maximum.at(per_level, a + 1, b + 1)
+    wave = np.cumsum(per_level)[a] + b
+    if rng is not None:
+        draws = rng.bit_generator.random_raw(int(per_level.sum()))
+        # each wave renumbered by its place in the stable order of the draws
+        wave = np.argsort(np.argsort(draws, kind="stable"))[wave]
+    by_wave = _stable_argsort(wave)
+    return perm[by_wave], np.cumsum(np.bincount(wave))
 
 
 def _non_finite_message(u, i):
@@ -178,9 +209,10 @@ def train(
 ) -> tuple[FactorModel, TrainReport]:
     """Run SGD for config.epochs passes and return (trained copy, report).
 
-    Every epoch visits each observation exactly once, in seeded
-    Fisher-Yates order when shuffling (sorted order otherwise), and records
-    the full objective afterwards. The input model is not modified.
+    Every epoch visits each observation exactly once, in the wave order of
+    the module docstring: drawn from the PCG64 stream of config.seed when
+    shuffling, and from the sorted order otherwise. It records the full
+    objective afterwards. The input model is not modified.
     """
     check_dimensions(model, matrix)
     if not len(matrix):
@@ -189,19 +221,13 @@ def train(
     uf, ef = work.user_factors, work.event_factors
     lr = float(config.learning_rate)
     gamma = float(work.gamma)
-    users = matrix.users.tolist()
-    events = matrix.events.tolist()
-    order = list(range(len(users)))
-    rng = random.Random(config.seed)
+    rng = _rng(config.seed) if config.shuffle else None
 
     report = TrainReport()
     # a diverging epoch runs to its end on inf and nan before it is reported
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
-            if config.shuffle:
-                rng.shuffle(order)
-            positions, ends = _waves(order, users, events, work.n_users, work.n_events)
-            slots = np.array(order)[positions]
+            slots, ends = _schedule(matrix.users, matrix.events, work.n_events, rng)
             wu = matrix.users[slots]
             wi = matrix.events[slots]
             wr = matrix.values[slots]
@@ -212,13 +238,12 @@ def train(
                 uf[u], ef[i], ok[start:end] = _wave(uf, ef, u, i, wr[start:end], lr, gamma)
                 start = end
             if not ok.all():
-                # every earlier step ran on its sequential inputs
-                step = int(positions[~ok].min())
-                t = order[step]
+                # the waves run in the epoch's order, so every earlier step
+                # ran on its sequential inputs
+                step = int(np.argmax(~ok))
+                message = _non_finite_message(wu[step], wi[step])
                 raise NonFiniteUpdateError(
-                    f"{_non_finite_message(users[t], events[t])} (epoch {epoch}, step {step})",
-                    epoch=epoch,
-                    step=step,
+                    f"{message} (epoch {epoch}, step {step})", epoch=epoch, step=step
                 )
             loss = objective(work, matrix)
             if not math.isfinite(loss):

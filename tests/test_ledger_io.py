@@ -3,6 +3,8 @@
 import contextlib
 import hashlib
 import io
+import os
+import stat
 import tempfile
 import types
 from pathlib import Path
@@ -216,6 +218,22 @@ def test_failed_write_leaves_old_file(tmp_path, monkeypatch, capsys, setup):
         write()
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == listing
+
+
+def test_ledger_init_writes_the_keystore_owner_only(tmp_path):
+    chain, keys = tmp_path / "chain.jsonl", tmp_path / "keys.json"
+    keys.write_text("{}\n")
+    keys.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        assert quiet_main("ledger", "init", "--out", chain, "--keys", keys, "--users", 2,
+                          "--timestamp", 1) == 0
+    finally:
+        os.umask(umask)
+    # the seeds replace a world-readable file; the chain is public
+    assert stat.S_IMODE(keys.stat().st_mode) == 0o600
+    assert stat.S_IMODE(chain.stat().st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.jsonl", "keys.json"]
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
