@@ -1,10 +1,11 @@
 """Command-line front end: ingest, train, eval, recommend, simulate, and
 ledger operations, all emitting machine-readable output.
 
-Every subcommand is deterministic given its flags and --seed; commands that
-write ledger blocks take --timestamp to pin block times (wall clock is used
-when the flag is absent). Exit codes: 0 success, 1 domain error, 2 usage
-error.
+Every subcommand is deterministic given its flags and --seed, except the
+signing seeds that ledger init draws at random without --key-seed; commands
+that write ledger blocks take --timestamp to pin block times (wall clock is
+used when the flag is absent). Exit codes: 0 success, 1 domain error, 2
+usage error.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import hashlib
 import json
 import math
 import os
+import secrets
 import sys
 import time
 from pathlib import Path
@@ -49,7 +51,11 @@ def _now_or(timestamp: int | None) -> int:
     return int(time.time()) if timestamp is None else timestamp
 
 
-def _derive_seed(key_seed: int, index: int) -> bytes:
+def _signing_seed(key_seed: int | None, index: int) -> bytes:
+    """User index's signing seed: secret and uniformly random, or with a key
+    seed derived by a public formula that anyone can recompute."""
+    if key_seed is None:
+        return secrets.token_bytes(SEED_SIZE)
     return hashlib.sha256(f"{key_seed}:{index}".encode("ascii")).digest()
 
 
@@ -102,7 +108,6 @@ def _train_config(args) -> TrainConfig:
         learning_rate=args.lr,
         epochs=args.epochs,
         seed=args.seed,
-        shuffle=not args.no_shuffle,
         tolerance=args.tolerance,
     )
 
@@ -115,6 +120,8 @@ def cmd_ingest(args) -> int:
 
 
 def cmd_train(args) -> int:
+    if args.ledger and not args.keys:
+        args.usage_error("--ledger requires --keys for the user registry")
     config = _train_config(args)
     led.check_token_amount(args.reward)
     if args.timestamp is not None:
@@ -224,7 +231,7 @@ def cmd_ledger(args) -> int:
         chain = led.new_ledger(_now_or(args.timestamp))
         led.save_ledger(chain, args.out)
         if args.users:
-            keystore = {str(i): _derive_seed(args.key_seed, i).hex() for i in range(args.users)}
+            keystore = {str(i): _signing_seed(args.key_seed, i).hex() for i in range(args.users)}
             # every signing seed: readable by the owner alone
             dump_json(keystore, args.keys, 0o600, sort_keys=True, indent=2)
         print(f"initialized ledger at {args.out}")
@@ -290,10 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     train_flags.add_argument("--seed", type=int, default=0)
     train_flags.add_argument("--scale", type=float, default=0.1, help="init scale")
     train_flags.add_argument("--tolerance", type=float, default=0.0, help="early-stop tolerance")
-    train_flags.add_argument(
-        "--no-shuffle", action="store_true",
-        help="run each epoch's waves in sorted order instead of a seeded random one",
-    )
 
     p = sub.add_parser("ingest", help="validate a ratings CSV and write it back canonically")
     p.add_argument("csv")
@@ -308,6 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--keys", help="keystore JSON mapping user index to signing seed")
     p.add_argument("--reward", type=int, default=1, help="tokens credited per consenting user")
     p.add_argument("--timestamp", type=int, default=None)
+    p.set_defaults(usage_error=p.error)
 
     p = sub.add_parser("eval", help="holdout RMSE of a model on a matrix")
     p.add_argument("model")
@@ -344,7 +348,11 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--out", required=True)
     a.add_argument("--keys", default="keys.json")
     a.add_argument("--users", type=int, default=0, help="generate this many keypairs")
-    a.add_argument("--key-seed", type=int, default=0)
+    a.add_argument(
+        "--key-seed", type=int, metavar="N",
+        help="derive seed i as sha256(f'{N}:{i}'): public seeds anyone can recompute, "
+        "for tests only (default: a secret random seed per user)",
+    )
     a.add_argument("--timestamp", type=int, default=None)
 
     a = actions.add_parser("append")
@@ -387,8 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    if args.command == "train" and args.ledger and not args.keys:
-        parser.error("--ledger requires --keys for the user registry")
     handlers = {
         "ingest": cmd_ingest,
         "train": cmd_train,

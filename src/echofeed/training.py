@@ -16,9 +16,8 @@ its user's steps and b its rank among the steps that share its (a, event),
 so an (a, b) class repeats no user row and no event row. Those classes are
 the waves. They run in the order of one more raw draw per wave, and each
 keeps its steps in permutation order; the epoch's order is their
-concatenation. Without shuffling, the permutation is the sorted order and
-the waves run in (a, b) order. The raw PCG64 stream is fixed by NEP 19, so
-the order depends on the seed alone, not on the numpy version.
+concatenation. The raw PCG64 stream is fixed by NEP 19, so the order
+depends on the seed alone, not on the numpy version.
 
 Steps on disjoint rows commute (as in Hogwild! and DSGD), so one numpy pass
 per wave updates them all, and each step reads the rows that exactly the
@@ -57,7 +56,6 @@ class TrainConfig:
     learning_rate: float = 0.01
     epochs: int = 100
     seed: int = 0
-    shuffle: bool = True
     tolerance: float = 0.0  # relative objective change for early stop; 0 = off
 
     def __post_init__(self):
@@ -134,13 +132,9 @@ def _schedule(users, events, n_events, rng):
     """One epoch's order of observation slots, and each wave's end in it.
 
     a and b are the ranks of the module docstring, taken in perm order. The
-    rng draws perm and the wave order; without one, both are sorted.
+    rng draws perm and the wave order.
     """
-    n = len(users)
-    if rng is None:
-        perm = np.arange(n)
-    else:
-        perm = np.argsort(rng.bit_generator.random_raw(n), kind="stable")
+    perm = np.argsort(rng.bit_generator.random_raw(len(users)), kind="stable")
     a = _ranks(users[perm])
     # a user rates an event once, so a < n_events and the key < n_events**2
     b = _ranks(a * n_events + events[perm])
@@ -148,10 +142,9 @@ def _schedule(users, events, n_events, rng):
     per_level = np.zeros(a.max() + 2, dtype=np.int64)
     np.maximum.at(per_level, a + 1, b + 1)
     wave = np.cumsum(per_level)[a] + b
-    if rng is not None:
-        draws = rng.bit_generator.random_raw(int(per_level.sum()))
-        # each wave renumbered by its place in the stable order of the draws
-        wave = np.argsort(np.argsort(draws, kind="stable"))[wave]
+    draws = rng.bit_generator.random_raw(int(per_level.sum()))
+    # each wave renumbered by its place in the stable order of the draws
+    wave = np.argsort(np.argsort(draws, kind="stable"))[wave]
     by_wave = _stable_argsort(wave)
     return perm[by_wave], np.cumsum(np.bincount(wave))
 
@@ -210,9 +203,8 @@ def train(
     """Run SGD for config.epochs passes and return (trained copy, report).
 
     Every epoch visits each observation exactly once, in the wave order of
-    the module docstring: drawn from the PCG64 stream of config.seed when
-    shuffling, and from the sorted order otherwise. It records the full
-    objective afterwards. The input model is not modified.
+    the module docstring, drawn from the PCG64 stream of config.seed. It
+    records the full objective afterwards. The input model is not modified.
     """
     check_dimensions(model, matrix)
     if not len(matrix):
@@ -221,7 +213,7 @@ def train(
     uf, ef = work.user_factors, work.event_factors
     lr = float(config.learning_rate)
     gamma = float(work.gamma)
-    rng = _rng(config.seed) if config.shuffle else None
+    rng = _rng(config.seed)
 
     report = TrainReport()
     # a diverging epoch runs to its end on inf and nan before it is reported

@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import warnings
 
@@ -161,8 +162,20 @@ def test_train_ledger_without_keys_is_usage_error(tmp_path, capsys, matrix_csv):
     with pytest.raises(SystemExit) as exc:
         main(["train", str(matrix_csv), "--out", str(tmp_path / "m.json"), "--ledger", str(ledger)])
     assert exc.value.code == 2
-    assert "--ledger requires --keys" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("usage: echofeed train")
+    assert "--ledger requires --keys" in err
     assert not (tmp_path / "m.json").exists()
+
+
+@pytest.mark.parametrize("command", [["train", "ratings.csv"], ["simulate"]])
+def test_no_shuffle_is_not_an_option(tmp_path, capsys, command):
+    # every epoch's order is drawn from --seed; there is no unshuffled mode
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--out", str(tmp_path / "out.json"), "--no-shuffle"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --no-shuffle" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_eval_prints_rmse(tmp_path, capsys, matrix_csv):
@@ -186,6 +199,23 @@ def test_recommend_outputs_ranked_events(tmp_path, capsys, matrix_csv):
     assert len(doc["events"]) <= 3
     assert doc == json.loads(out.read_text())
     assert doc["scores"] == sorted(doc["scores"], reverse=True)
+
+
+def test_recommend_include_observed(tmp_path, capsys):
+    # user 0 has rated event 1, the event that scores highest for them
+    model = tmp_path / "model.json"
+    model.write_text(
+        '{"k": 1, "gamma": 0.0, "user_factors": [[1.0]], "event_factors": [[1.0], [3.0], [2.0]]}'
+    )
+    ratings = tmp_path / "r.csv"
+    ratings.write_text("# users=1 events=3\n0,1,5.0\n")
+    recs = {}
+    for flags in ([], ["--include-observed"]):
+        code, stdout, _ = run(capsys, "recommend", model, ratings, "--user", 0, "--top", 2, *flags)
+        assert code == 0
+        recs[bool(flags)] = json.loads(stdout)
+    assert recs[True] == {"user": 0, "events": [1, 2], "scores": [3.0, 2.0]}
+    assert recs[False] == {"user": 0, "events": [2, 0], "scores": [2.0, 1.0]}
 
 
 @pytest.fixture
@@ -477,6 +507,26 @@ def test_ledger_init_verify(tmp_path, capsys):
     code, stdout, _ = run(capsys, "ledger", "verify", ledger)
     assert code == 0
     assert stdout.strip() == "valid"
+
+
+def init_seeds(capsys, keys):
+    """The signing seeds of a 3-user `ledger init` without --key-seed."""
+    code, _, _ = run(
+        capsys, "ledger", "init", "--out", keys.with_suffix(".jsonl"), "--keys", keys,
+        "--users", 3,
+    )
+    assert code == 0
+    return {int(user): bytes.fromhex(seed) for user, seed in json.loads(keys.read_text()).items()}
+
+
+def test_ledger_init_draws_secret_seeds_by_default(tmp_path, capsys):
+    first = init_seeds(capsys, tmp_path / "a.json")
+    second = init_seeds(capsys, tmp_path / "b.json")
+    assert first.keys() == second.keys() == {0, 1, 2}
+    assert all(len(seed) == 32 for seed in [*first.values(), *second.values()])
+    assert first != second
+    # nor is a seed the public derivation that --key-seed 0 gives
+    assert first[1] != hashlib.sha256(b"0:1").digest()
 
 
 @pytest.mark.parametrize("timestamp", [-1, 2**64])

@@ -269,17 +269,18 @@ def test_train_recovers_planted_rank_one():
 
 
 def test_train_matches_manual_step_sequence():
-    # with shuffle off, train is exactly repeated sgd_step in (a, b) wave
-    # order: wave (0, 0) holds each user's first rating, (0, 0) and (1, 1),
-    # and wave (1, 0) user 0's second, (0, 1)
+    # train is exactly repeated sgd_step in each epoch's order; at seed 0
+    # every epoch runs the three cells in a different order
     matrix = from_triplets([(0, 0, 3.0), (0, 1, 1.0), (1, 1, 2.0)], 2, 2)
     model = init_model(2, 2, 2, 0.2, seed=8)
-    trained, _ = train(
-        model, matrix, TrainConfig(learning_rate=0.03, epochs=7, shuffle=False, seed=0)
-    )
+    trained, _ = train(model, matrix, TrainConfig(learning_rate=0.03, epochs=3, seed=0))
     manual = model.copy()
-    for _ in range(7):
-        for u, i, r in [(0, 0, 3.0), (1, 1, 2.0), (0, 1, 1.0)]:
+    for epoch in [
+        [(1, 1, 2.0), (0, 1, 1.0), (0, 0, 3.0)],
+        [(0, 1, 1.0), (1, 1, 2.0), (0, 0, 3.0)],
+        [(0, 1, 1.0), (0, 0, 3.0), (1, 1, 2.0)],
+    ]:
+        for u, i, r in epoch:
             sgd_step(manual, u, i, r, learning_rate=0.03)
     assert np.array_equal(trained.user_factors, manual.user_factors)
     assert np.array_equal(trained.event_factors, manual.event_factors)
@@ -403,15 +404,12 @@ def epoch_waves(matrix, config):
     train runs them, derived in plain Python from the same raw PCG64 draws:
     a stable sort of one draw per observation, ranks a (within the user) and
     b (within the (a, event) pair) counted in dicts, then the (a, b) classes
-    in the stable order of one draw per class. Without shuffling, no draws:
-    the sorted order and the (a, b) classes in (a, b) order."""
+    in the stable order of one draw per class."""
     users, events = matrix.users.tolist(), matrix.events.tolist()
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
-        perm = list(range(len(users)))
-        if config.shuffle:
-            draws = rng.bit_generator.random_raw(len(perm)).tolist()
-            perm.sort(key=draws.__getitem__)
+        draws = rng.bit_generator.random_raw(len(users)).tolist()
+        perm = sorted(range(len(users)), key=draws.__getitem__)
         seen_user, seen_pair, waves = {}, {}, {}
         for t in perm:
             a = seen_user.get(users[t], 0)
@@ -420,9 +418,8 @@ def epoch_waves(matrix, config):
             seen_pair[(a, events[t])] = b + 1
             waves.setdefault((a, b), []).append(t)
         keys = sorted(waves)
-        if config.shuffle:
-            draws = rng.bit_generator.random_raw(len(keys)).tolist()
-            keys = [keys[j] for j in sorted(range(len(keys)), key=draws.__getitem__)]
+        draws = rng.bit_generator.random_raw(len(keys)).tolist()
+        keys = [keys[j] for j in sorted(range(len(keys)), key=draws.__getitem__)]
         yield [waves[key] for key in keys]
 
 
@@ -463,7 +460,6 @@ def training_cases(draw):
         learning_rate=draw(st.floats(0.001, 0.02)),
         epochs=draw(st.integers(1, 4)),
         seed=draw(st.integers(0, 2**32)),
-        shuffle=draw(st.booleans()),
     )
     return model, matrix, config
 
@@ -579,7 +575,6 @@ def diverging_cases(draw):
         learning_rate=draw(log_uniform(-2, 3, 300)),
         epochs=draw(st.integers(1, 4)),
         seed=rng.randrange(2**32),
-        shuffle=draw(st.booleans()),
     )
     return model, matrix, config
 
@@ -600,13 +595,15 @@ def test_train_stops_at_the_first_non_finite_step(case):
 
 
 def test_train_reports_the_earliest_failing_step_not_the_earliest_wave():
-    # unshuffled, wave (0, 0) holds observations 0 and 2 and wave (1, 0)
-    # observation 1, so the epoch's order is 0, 2, 1; observations 1 and 2
-    # both overflow, and the error names the first of them in that order,
-    # observation 2 at step 1, not the first in the matrix
+    # at seed 13 wave (1, 0), observation 0, runs before wave (0, 0),
+    # observations 2 and 1, so the epoch's order is 0, 2, 1; observations 1
+    # and 2 both overflow, and the error names the first of them in that
+    # order, observation 2 at step 1, not the first in the matrix nor step 0
+    # of the earliest wave
     model = manual_model([[0.0], [0.0]], [[0.0], [1e300], [1e300]])
     matrix = from_triplets([(0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0)], 2, 3)
-    config = TrainConfig(learning_rate=1e10, epochs=1, shuffle=False)
+    config = TrainConfig(learning_rate=1e10, epochs=1, seed=13)
+    assert list(epoch_waves(matrix, config)) == [[[0], [2, 1]]]
     with pytest.raises(NonFiniteUpdateError) as exc:
         train(model, matrix, config)
     assert (exc.value.epoch, exc.value.step, str(exc.value)) == (
