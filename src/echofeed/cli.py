@@ -104,12 +104,7 @@ def _resolve_author(args) -> bytes:
 
 
 def _train_config(args) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=args.lr,
-        epochs=args.epochs,
-        seed=args.seed,
-        tolerance=args.tolerance,
-    )
+    return TrainConfig(learning_rate=args.lr, epochs=args.epochs, seed=args.seed)
 
 
 def cmd_ingest(args) -> int:
@@ -228,6 +223,12 @@ def cmd_ledger(args) -> int:
         # keystore indices name ratings users, whose indices are int64
         if args.users >= 2**63:
             raise InvalidParameterError(f"--users must fit in int64, got {args.users}")
+        # never a replace: the keystore holds the only copy of every seed
+        if Path(args.out).resolve() == Path(args.keys).resolve():
+            raise InvalidParameterError(f"--out and --keys name the same file {args.out}")
+        for path in (args.out, args.keys) if args.users else (args.out,):
+            if Path(path).exists():
+                raise InvalidParameterError(f"{path} exists; ledger init never replaces a file")
         chain = led.new_ledger(_now_or(args.timestamp))
         led.save_ledger(chain, args.out)
         if args.users:
@@ -296,7 +297,6 @@ def build_parser() -> argparse.ArgumentParser:
     train_flags.add_argument("--epochs", type=int, default=100)
     train_flags.add_argument("--seed", type=int, default=0)
     train_flags.add_argument("--scale", type=float, default=0.1, help="init scale")
-    train_flags.add_argument("--tolerance", type=float, default=0.0, help="early-stop tolerance")
 
     p = sub.add_parser("ingest", help="validate a ratings CSV and write it back canonically")
     p.add_argument("csv")

@@ -471,6 +471,8 @@ def load_ledger(path: str | Path) -> list[LedgerBlock]:
             blocks.append(LedgerBlock.from_json_dict(doc))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"bad ledger block: {exc}", lineno) from exc
+    if not blocks:
+        raise ParseError(f"{path}: no ledger blocks, not even a genesis block")
     return blocks
 
 

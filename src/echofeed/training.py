@@ -51,12 +51,12 @@ from .ratings import RatingMatrix, check_index
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """SGD hyperparameters. Defaults are stable on desk-scale instances."""
+    """SGD hyperparameters. Training always runs `epochs` epochs: there is
+    no early stop. Defaults are stable on desk-scale instances."""
 
     learning_rate: float = 0.01
     epochs: int = 100
     seed: int = 0
-    tolerance: float = 0.0  # relative objective change for early stop; 0 = off
 
     def __post_init__(self):
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -67,27 +67,18 @@ class TrainConfig:
             raise InvalidParameterError(f"seed must be >= 0, got {self.seed}")
         if self.epochs < 1:
             raise InvalidParameterError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.tolerance) and self.tolerance >= 0):
-            raise InvalidParameterError(
-                f"tolerance must be finite and >= 0, got {self.tolerance}"
-            )
 
 
 @dataclass
 class TrainReport:
     loss_history: list[float] = field(default_factory=list)
-    stopped_early: bool = False
 
     @property
     def epochs_run(self) -> int:
         return len(self.loss_history)
 
     def to_dict(self) -> dict:
-        return {
-            "loss_history": self.loss_history,
-            "epochs_run": self.epochs_run,
-            "stopped_early": self.stopped_early,
-        }
+        return {"loss_history": self.loss_history, "epochs_run": self.epochs_run}
 
 
 def _wave(uf, ef, u, i, r, lr, gamma):
@@ -200,7 +191,9 @@ def gradient_at(model: FactorModel, matrix: RatingMatrix, u: int) -> np.ndarray:
 def train(
     model: FactorModel, matrix: RatingMatrix, config: TrainConfig
 ) -> tuple[FactorModel, TrainReport]:
-    """Run SGD for config.epochs passes and return (trained copy, report).
+    """Run SGD for exactly config.epochs passes and return (trained copy,
+    report); the only other way out is the error a non-finite update or
+    objective raises.
 
     Every epoch visits each observation exactly once, in the wave order of
     the module docstring, drawn from the PCG64 stream of config.seed. It
@@ -243,12 +236,6 @@ def train(
                     f"non-finite objective {loss!r} after epoch {epoch}", epoch=epoch
                 )
             report.loss_history.append(loss)
-            if config.tolerance > 0 and epoch >= 2:
-                prev = report.loss_history[-2]
-                delta = abs(loss - prev)
-                if (prev == 0 and delta == 0) or (prev > 0 and delta / prev < config.tolerance):
-                    report.stopped_early = True
-                    break
     return work, report
 
 

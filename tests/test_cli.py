@@ -178,6 +178,16 @@ def test_no_shuffle_is_not_an_option(tmp_path, capsys, command):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", [["train", "ratings.csv"], ["simulate"]])
+def test_tolerance_is_not_an_option(tmp_path, capsys, command):
+    # training always runs --epochs epochs; there is no early stop
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--out", str(tmp_path / "out.json"), "--tolerance", "0"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance 0" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_eval_prints_rmse(tmp_path, capsys, matrix_csv):
     model = tmp_path / "model.json"
     run(capsys, "train", matrix_csv, "--out", model, "--epochs", 30)
@@ -355,13 +365,12 @@ def test_simulate_negative_rounds_rejected_before_work(tmp_path, capsys):
         (["--accept-value", "inf", "--rounds", 0], "accept_value must be finite, got inf"),
         (["--rec-k", 0], "k_recs must be >= 1, got 0"),
         (["--lr", "nan"], "learning_rate must be finite and > 0, got nan"),
-        (["--tolerance", "nan"], "tolerance must be finite and >= 0, got nan"),
         (["--scale", "inf"], "init scale must be finite and > 0, got inf"),
         (["--gamma", "nan"], "gamma must be finite and >= 0, got nan"),
     ],
     ids=[
         "accept-top", "accept-top-no-rounds", "accept-value", "accept-value-nan",
-        "accept-value-inf-no-rounds", "rec-k", "lr-nan", "tolerance-nan", "scale-inf",
+        "accept-value-inf-no-rounds", "rec-k", "lr-nan", "scale-inf",
         "gamma-nan",
     ],
 )
@@ -383,11 +392,10 @@ def test_simulate_bad_round_flags_rejected_before_work(
     "flags, message",
     [
         (["--lr", "inf"], "learning_rate must be finite and > 0, got inf"),
-        (["--tolerance", "nan"], "tolerance must be finite and >= 0, got nan"),
         (["--scale", "nan"], "init scale must be finite and > 0, got nan"),
         (["--gamma", "inf"], "gamma must be finite and >= 0, got inf"),
     ],
-    ids=["lr-inf", "tolerance-nan", "scale-nan", "gamma-inf"],
+    ids=["lr-inf", "scale-nan", "gamma-inf"],
 )
 def test_train_non_finite_flags_are_domain_errors(tmp_path, capsys, matrix_csv, flags, message):
     out = tmp_path / "m.json"
@@ -809,3 +817,23 @@ def test_ledger_verify_non_object_line(tmp_path, capsys):
     code, _, err = run(capsys, "ledger", "verify", ledger)
     assert code == 1
     assert "line 1" in err
+
+
+@pytest.mark.parametrize("text", ["", "\n \n"], ids=["empty", "blank"])
+def test_ledger_without_blocks_is_refused(tmp_path, capsys, matrix_csv, text):
+    # with no genesis block there is no chain to verify, extend or gate on
+    ledger, keys = tmp_path / "chain.jsonl", tmp_path / "keys.json"
+    code, _, _ = run(capsys, "ledger", "init", "--out", tmp_path / "other.jsonl",
+                     "--keys", keys, "--users", 2, "--key-seed", 0)
+    assert code == 0
+    ledger.write_text(text)
+    for args in (
+        ["ledger", "verify", ledger],
+        ["ledger", "append", ledger, "--keys", keys, "--user", 0],
+        ["train", matrix_csv, "--out", tmp_path / "m.json", "--ledger", ledger, "--keys", keys],
+    ):
+        assert run(capsys, *args) == (
+            1, "", f"error: {ledger}: no ledger blocks, not even a genesis block\n"
+        )
+        assert ledger.read_text() == text
+    assert not (tmp_path / "m.json").exists()

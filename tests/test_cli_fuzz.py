@@ -56,13 +56,13 @@ FLAGS = {
     "--epochs": (st.integers(1, 3), st.integers(-1, 3)),
     "--rounds": (st.integers(0, 2), st.integers(-1, 2)),
     "--gamma": real(0, 0.1), "--lr": real(0.001, 0.05), "--scale": real(0.01, 1),
-    "--tolerance": real(0, 0.1), "--holdout": real(0, 0.5), "--in-rate": real(0.5, 1),
-    "--cross-rate": real(0, 0.5), "--accept-value": real(1, 5),
+    "--holdout": real(0, 0.5), "--in-rate": real(0.5, 1), "--cross-rate": real(0, 0.5),
+    "--accept-value": real(1, 5),
     "--seed": integer(0, 5), "--reward": integer(0, 5), "--timestamp": integer(0, 10**6),
     "--accept-top": integer(1, 3), "--rec-k": integer(1, 5), "--top": integer(1, 5),
     "--user": integer(0, 2), "--amount": integer(0, 100), "--key-seed": integer(0, 5),
 }
-TRAIN = ["--k", "--gamma", "--lr", "--seed", "--scale", "--tolerance"]
+TRAIN = ["--k", "--gamma", "--lr", "--seed", "--scale"]
 # command: (flags always passed, flags passed or left at their defaults)
 NUMERIC = {
     "train": (["--epochs"], TRAIN + ["--holdout", "--reward", "--timestamp"]),

@@ -88,6 +88,8 @@ def reference_load_ledger(path) -> list[LedgerBlock]:
             blocks.append(reference_from_json_dict(json.loads(line)))
         except (KeyError, TypeError, ValueError, RecursionError) as exc:
             raise ParseError(f"bad ledger block: {exc}", lineno) from exc
+    if not blocks:
+        raise ParseError(f"{path}: no ledger blocks, not even a genesis block")
     return blocks
 
 

@@ -128,16 +128,6 @@ def _save_model_midway(tmp_path, monkeypatch):
     return path, lambda: save_model(init_model(4, 4, 2, 0.0, 2), path)
 
 
-def _keystore_midway(tmp_path, monkeypatch):
-    path = tmp_path / "keys.json"
-    assert quiet_main("ledger", "init", "--out", tmp_path / "chain.jsonl", "--keys", path,
-                      "--users", 2) == 0
-    # the chain is written first, then the keystore
-    _writes_fail_after(1, monkeypatch)
-    return path, lambda: main(["ledger", "init", "--out", str(tmp_path / "chain.jsonl"),
-                               "--keys", str(path), "--users", "3", "--key-seed", "1"])
-
-
 def _save_profile_midway(tmp_path, monkeypatch):
     path = tmp_path / "profile.json"
     led = _ledger(3)
@@ -204,11 +194,10 @@ def _simulate_midway(target):
 
 @pytest.mark.parametrize(
     "setup",
-    [_save_ledger_midway, _save_model_midway, _save_profile_midway, _keystore_midway,
-     _report_midway, _ingest_midway, _recommend_midway, _simulate_midway("out"),
-     _simulate_midway("csv")],
-    ids=["save_ledger", "save_model", "save_profile", "keystore", "report", "ingest",
-         "recommend", "simulate_out", "simulate_csv"],
+    [_save_ledger_midway, _save_model_midway, _save_profile_midway, _report_midway,
+     _ingest_midway, _recommend_midway, _simulate_midway("out"), _simulate_midway("csv")],
+    ids=["save_ledger", "save_model", "save_profile", "report", "ingest", "recommend",
+         "simulate_out", "simulate_csv"],
 )
 def test_failed_write_leaves_old_file(tmp_path, monkeypatch, capsys, setup):
     path, write = setup(tmp_path, monkeypatch)
@@ -222,18 +211,62 @@ def test_failed_write_leaves_old_file(tmp_path, monkeypatch, capsys, setup):
 
 def test_ledger_init_writes_the_keystore_owner_only(tmp_path):
     chain, keys = tmp_path / "chain.jsonl", tmp_path / "keys.json"
-    keys.write_text("{}\n")
-    keys.chmod(0o644)
     umask = os.umask(0o022)
     try:
         assert quiet_main("ledger", "init", "--out", chain, "--keys", keys, "--users", 2,
                           "--timestamp", 1) == 0
     finally:
         os.umask(umask)
-    # the seeds replace a world-readable file; the chain is public
+    # the seeds are secret; the chain is public
     assert stat.S_IMODE(keys.stat().st_mode) == 0o600
     assert stat.S_IMODE(chain.stat().st_mode) == 0o644
     assert sorted(p.name for p in tmp_path.iterdir()) == ["chain.jsonl", "keys.json"]
+
+
+def test_owner_only_json_replaces_a_world_readable_file(tmp_path):
+    path = tmp_path / "keys.json"
+    path.write_text("{}\n")
+    path.chmod(0o644)
+    umask = os.umask(0o022)
+    try:
+        dump_json({"0": "ab" * 32}, path, 0o600)
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(path.stat().st_mode) == 0o600
+    assert path.read_text() == '{"0": "' + "ab" * 32 + '"}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["keys.json"]
+
+
+@pytest.mark.parametrize(
+    "out, keys",
+    [("chain.jsonl", "keys.json"), ("chain.jsonl", "new.json"), ("new.jsonl", "keys.json")],
+    ids=["both", "out", "keys"],
+)
+def test_ledger_init_never_replaces_a_file(tmp_path, capsys, out, keys):
+    init = ["ledger", "init", "--users", "2", "--timestamp", "1"]
+    assert main([*init, "--out", str(tmp_path / "chain.jsonl"),
+                  "--keys", str(tmp_path / "keys.json")]) == 0
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    capsys.readouterr()
+    # the keystore holds the only copy of every seed
+    assert main([*init, "--out", str(tmp_path / out), "--keys", str(tmp_path / keys)]) == 1
+    taken = tmp_path / ("chain.jsonl" if out == "chain.jsonl" else "keys.json")
+    assert capsys.readouterr().err == f"error: {taken} exists; ledger init never replaces a file\n"
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    # with no users there is no keystore to write, so an existing one is no obstacle
+    assert quiet_main("ledger", "init", "--out", tmp_path / "new.jsonl",
+                      "--keys", tmp_path / "keys.json") == 0
+    assert (tmp_path / "keys.json").read_bytes() == before["keys.json"]
+
+
+@pytest.mark.parametrize("keys", ["chain.jsonl", "sub/../chain.jsonl"], ids=["same", "dotdot"])
+def test_ledger_init_refuses_one_file_for_chain_and_keys(tmp_path, capsys, keys):
+    (tmp_path / "sub").mkdir()
+    chain = tmp_path / "chain.jsonl"
+    assert main(["ledger", "init", "--out", str(chain), "--keys", f"{tmp_path}/{keys}",
+                 "--users", "2"]) == 1
+    assert capsys.readouterr().err == f"error: --out and --keys name the same file {chain}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["sub"]
 
 
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan")])
