@@ -4,7 +4,9 @@ libsodium (loaded via ctypes when the shared library is present) verifies
 roughly twice as fast as the cryptography package on the machines this was
 measured on, which matters when validating long chains. Ed25519 signatures
 are deterministic (RFC 8032), so both backends produce byte-identical
-output; the fallback keeps the package working without libsodium.
+output; the fallback keeps the package working without libsodium. Their
+verdicts agree because _valid refuses, before either runs, what libsodium
+refuses and OpenSSL accepts: a small-order A or R and an S >= L.
 
 first_invalid checks a batch of signatures. _valid is the one per-signature
 check (verify calls it too) and _first_invalid_in the one loop that runs it
@@ -41,6 +43,18 @@ SIGNATURE_SIZE = 64
 # below this many signatures a batch is checked on the calling thread: the
 # hand-off to the pool costs more than the checks it would spread
 PARALLEL_FLOOR = 16
+
+_P = 2**255 - 19
+_L = 2**252 + 27742317777372353535851937790883648493
+# y of the eight points of small order: 1 (order 1), -1 (order 2), 0
+# (order 4) and the two y of order 8, then the non-canonical y + p of 0 and
+# 1, each under either sign bit; libsodium refuses these as A or R
+_Y8 = 2707385501144840649318225287225658788936804267575313519463743609750303402022
+_SMALL_ORDER = frozenset(
+    (y | sign << 255).to_bytes(32, "little")
+    for y in (1, _P - 1, 0, _Y8, _P - _Y8, _P, _P + 1)
+    for sign in (0, 1)
+)
 
 
 def _load_sodium():
@@ -101,6 +115,15 @@ def sign(signing_key, message: bytes) -> bytes:
 def _valid(public_key: bytes, signature: bytes, message: bytes) -> bool:
     # libsodium reads exactly 32 and 64 bytes behind these pointers
     if len(public_key) != PUBLIC_KEY_SIZE or len(signature) != SIGNATURE_SIZE:
+        return False
+    # libsodium's own refusals, made here for both backends: OpenSSL accepts
+    # a small-order A or R (the identity key, with R the identity and S = 0,
+    # verifies any message there)
+    if (
+        public_key in _SMALL_ORDER
+        or signature[:32] in _SMALL_ORDER
+        or int.from_bytes(signature[32:], "little") >= _L
+    ):
         return False
     if _sodium is not None:
         return _sodium.crypto_sign_ed25519_verify_detached(

@@ -8,28 +8,27 @@ error is absorbed into the learning rate, so a step moves along
 (e * other_row - gamma * own_row). gradient_at, used for testing, returns
 the unhalved analytic gradient of the objective itself.
 
-An epoch is defined as its steps run one after another in a seeded order,
-and that order is built from waves, with numpy sorts alone (stratified SGD,
-as in Gemulla et al., KDD 2011). A permutation of the observations is drawn
-as a stable argsort of raw PCG64 draws. Within it, a is a step's rank among
-its user's steps and b its rank among the steps that share its (a, event),
-so an (a, b) class repeats no user row and no event row. Those classes are
-the waves. They run in the order of one more raw draw per wave, and each
-keeps its steps in permutation order; the epoch's order is their
-concatenation. The raw PCG64 stream is fixed by NEP 19, so the order
-depends on the seed alone, not on the numpy version.
+An epoch is a seeded permutation of the observations, run one step after
+another. It orders them by the high bits of one raw PCG64 value each, ties
+broken by position; the raw stream is fixed by NEP 19, so the order depends
+on the seed alone, not on the numpy version. Waves are only how the
+permutation is batched, as in stratified SGD (Gemulla et al., KDD 2011): a
+step's level is one more than the highest level of the earlier steps that
+share its user or its event, so a level repeats no user row and no event
+row, and the levels run in turn, each keeping its steps in permutation
+order.
 
 Steps on disjoint rows commute (as in Hogwild! and DSGD), so one numpy pass
-per wave updates them all, and each step reads the rows that exactly the
-steps before it in the order left behind. Each new entry is computed with
-the same IEEE operations, in the same order, as one scalar step, and the
-dot product is summed left to right from 0.0 by model._dot, the sum scoring
-uses. The trained factors are therefore bit-identical to the sequential
-order's, and depend on neither BLAS, numpy, array layout nor the Python
-version. The first step in the order whose update is not finite also ran on
-its sequential inputs, so training stops at the same step as the sequential
-order would. Only the objective and rmse totals over observations use numpy
-reductions.
+per level updates them all, and each step reads the rows that exactly the
+steps before it in the permutation left behind. Each new entry is computed
+with the same IEEE operations, in the same order, as one scalar step, and
+the dot product is summed left to right from 0.0 by model._dot, the sum
+scoring uses. The trained factors are therefore bit-identical to the
+permutation run one step at a time, and depend on neither BLAS, numpy,
+array layout nor the Python version. The first step in the permutation
+whose update is not finite also ran on its sequential inputs, so training
+reports the same step as the sequential run would stop at. Only the
+objective and rmse totals over observations use numpy reductions.
 """
 
 from __future__ import annotations
@@ -108,36 +107,28 @@ def _stable_argsort(keys):
     return np.argsort(keys.astype(np.min_scalar_type(keys.max())), kind="stable")
 
 
-def _ranks(keys):
-    """Each slot's rank among the slots before it with the same key."""
-    by_key = _stable_argsort(keys)
-    sorted_keys = keys[by_key]
-    index = np.arange(len(keys))
-    first = np.r_[True, sorted_keys[1:] != sorted_keys[:-1]]
-    ranks = np.empty_like(by_key)
-    ranks[by_key] = index - np.maximum.accumulate(np.where(first, index, 0))
-    return ranks
+def _schedule(users, events, n_users, n_events, rng):
+    """One epoch's permutation of observation slots, the permutation
+    positions in level order, and each level's end in that order.
 
-
-def _schedule(users, events, n_events, rng):
-    """One epoch's order of observation slots, and each wave's end in it.
-
-    a and b are the ranks of the module docstring, taken in perm order. The
-    rng draws perm and the wave order.
+    The sort keys keep the high bits of each draw and put the slot in the
+    low s bits, so they are unique and any sort gives the same order.
     """
-    perm = np.argsort(rng.bit_generator.random_raw(len(users)), kind="stable")
-    a = _ranks(users[perm])
-    # a user rates an event once, so a < n_events and the key < n_events**2
-    b = _ranks(a * n_events + events[perm])
-    # the waves numbered in (a, b) order: level a holds max(b) + 1 of them
-    per_level = np.zeros(a.max() + 2, dtype=np.int64)
-    np.maximum.at(per_level, a + 1, b + 1)
-    wave = np.cumsum(per_level)[a] + b
-    draws = rng.bit_generator.random_raw(int(per_level.sum()))
-    # each wave renumbered by its place in the stable order of the draws
-    wave = np.argsort(np.argsort(draws, kind="stable"))[wave]
-    by_wave = _stable_argsort(wave)
-    return perm[by_wave], np.cumsum(np.bincount(wave))
+    n = len(users)
+    s = np.uint64(n.bit_length())
+    draws = rng.bit_generator.random_raw(n)
+    perm = np.argsort((draws >> s) << s | np.arange(n, dtype=np.uint64))
+    user_level, event_level, level = [0] * n_users, [0] * n_events, []
+    add = level.append
+    # a memoryview yields Python ints one at a time, without .tolist()'s
+    # list of every one
+    for u, i in zip(memoryview(users[perm]), memoryview(events[perm])):
+        a, b = user_level[u], event_level[i]
+        step_level = a if a > b else b
+        add(step_level)
+        user_level[u] = event_level[i] = step_level + 1
+    level = np.fromiter(level, np.int64, n)
+    return perm, _stable_argsort(level), np.cumsum(np.bincount(level))
 
 
 def _non_finite_message(u, i):
@@ -195,9 +186,12 @@ def train(
     report); the only other way out is the error a non-finite update or
     objective raises.
 
-    Every epoch visits each observation exactly once, in the wave order of
-    the module docstring, drawn from the PCG64 stream of config.seed. It
-    records the full objective afterwards. The input model is not modified.
+    Every epoch visits each observation exactly once, in a permutation drawn
+    from the PCG64 stream of config.seed and batched into levels as the
+    module docstring says. It records the full objective afterwards. A
+    non-finite update raises with the step's position in that permutation,
+    where running it one step at a time would stop. The input model is not
+    modified.
     """
     check_dimensions(model, matrix)
     if not len(matrix):
@@ -212,7 +206,10 @@ def train(
     # a diverging epoch runs to its end on inf and nan before it is reported
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(1, config.epochs + 1):
-            slots, ends = _schedule(matrix.users, matrix.events, work.n_events, rng)
+            perm, by_level, ends = _schedule(
+                matrix.users, matrix.events, work.n_users, work.n_events, rng
+            )
+            slots = perm[by_level]
             wu = matrix.users[slots]
             wi = matrix.events[slots]
             wr = matrix.values[slots]
@@ -223,10 +220,11 @@ def train(
                 uf[u], ef[i], ok[start:end] = _wave(uf, ef, u, i, wr[start:end], lr, gamma)
                 start = end
             if not ok.all():
-                # the waves run in the epoch's order, so every earlier step
-                # ran on its sequential inputs
-                step = int(np.argmax(~ok))
-                message = _non_finite_message(wu[step], wi[step])
+                # the earliest failing step in the permutation ran on its
+                # sequential inputs: every step it depends on came earlier
+                step = int(by_level[~ok].min())
+                slot = perm[step]
+                message = _non_finite_message(matrix.users[slot], matrix.events[slot])
                 raise NonFiniteUpdateError(
                     f"{message} (epoch {epoch}, step {step})", epoch=epoch, step=step
                 )

@@ -276,8 +276,8 @@ def test_train_matches_manual_step_sequence():
     manual = model.copy()
     for epoch in [
         [(1, 1, 2.0), (0, 1, 1.0), (0, 0, 3.0)],
-        [(0, 1, 1.0), (1, 1, 2.0), (0, 0, 3.0)],
-        [(0, 1, 1.0), (0, 0, 3.0), (1, 1, 2.0)],
+        [(0, 0, 3.0), (0, 1, 1.0), (1, 1, 2.0)],
+        [(1, 1, 2.0), (0, 0, 3.0), (0, 1, 1.0)],
     ]:
         for u, i, r in epoch:
             sgd_step(manual, u, i, r, learning_rate=0.03)
@@ -385,34 +385,31 @@ def numpy_step(uf, ef, u, i, r, lr, gamma):
     ef[i] = ny
 
 
-def epoch_waves(matrix, config):
-    """Each epoch's waves as lists of observation positions, in the order
-    train runs them, derived in plain Python from the same raw PCG64 draws:
-    a stable sort of one draw per observation, ranks a (within the user) and
-    b (within the (a, event) pair) counted in dicts, then the (a, b) classes
-    in the stable order of one draw per class."""
-    users, events = matrix.users.tolist(), matrix.events.tolist()
+def epoch_orders(matrix, config):
+    """Each epoch's permutation of observation positions, derived in plain
+    Python from the same raw PCG64 draws: the positions sorted by
+    (draw >> s, position), s the bit length of the observation count."""
+    n = len(matrix)
+    s = n.bit_length()
     rng = np.random.default_rng(config.seed)
     for _ in range(config.epochs):
-        draws = rng.bit_generator.random_raw(len(users)).tolist()
-        perm = sorted(range(len(users)), key=draws.__getitem__)
-        seen_user, seen_pair, waves = {}, {}, {}
-        for t in perm:
-            a = seen_user.get(users[t], 0)
-            seen_user[users[t]] = a + 1
-            b = seen_pair.get((a, events[t]), 0)
-            seen_pair[(a, events[t])] = b + 1
-            waves.setdefault((a, b), []).append(t)
-        keys = sorted(waves)
-        draws = rng.bit_generator.random_raw(len(keys)).tolist()
-        keys = [keys[j] for j in sorted(range(len(keys)), key=draws.__getitem__)]
-        yield [waves[key] for key in keys]
+        draws = rng.bit_generator.random_raw(n).tolist()
+        yield sorted(range(n), key=lambda t: (draws[t] >> s, t))
 
 
-def epoch_orders(matrix, config):
-    """Each epoch's order: the concatenation of its waves."""
-    for waves in epoch_waves(matrix, config):
-        yield [t for wave in waves for t in wave]
+def epoch_waves(matrix, config):
+    """Each epoch's waves as lists of observation positions, in the order
+    train runs them: a step's level is one more than the highest level of
+    the earlier steps in the permutation that share its user or its event,
+    counted in dicts, and the levels run in turn."""
+    users, events = matrix.users.tolist(), matrix.events.tolist()
+    for order in epoch_orders(matrix, config):
+        user_level, event_level, waves = {}, {}, {}
+        for t in order:
+            level = max(user_level.get(users[t], 0), event_level.get(events[t], 0))
+            user_level[users[t]] = event_level[events[t]] = level + 1
+            waves.setdefault(level, []).append(t)
+        yield [waves[level] for level in range(len(waves))]
 
 
 def replay(model, matrix, config, step, rows):
@@ -488,11 +485,10 @@ def test_first_epoch_waves_are_pinned():
     model = init_model(3, 4, 1, 0.0, seed=0)
     _, waves = run_waves(model, matrix, TrainConfig(epochs=1, seed=7))
     assert waves == [
-        [(2, 3)],
-        [(1, 2), (0, 3)],
-        [(1, 0)],
-        [(2, 1), (1, 3), (0, 2)],
         [(2, 0), (0, 1)],
+        [(1, 0), (0, 3)],
+        [(1, 2), (2, 3)],
+        [(2, 1), (1, 3), (0, 2)],
     ]
 
 
@@ -581,19 +577,20 @@ def test_train_stops_at_the_first_non_finite_step(case):
 
 
 def test_train_reports_the_earliest_failing_step_not_the_earliest_wave():
-    # at seed 13 wave (1, 0), observation 0, runs before wave (0, 0),
-    # observations 2 and 1, so the epoch's order is 0, 2, 1; observations 1
-    # and 2 both overflow, and the error names the first of them in that
-    # order, observation 2 at step 1, not the first in the matrix nor step 0
-    # of the earliest wave
+    # at seed 2 the permutation is (u0, e0), (u0, e1), (u1, e2); the last two
+    # both overflow, and (u1, e2) runs first, in level 0 beside (u0, e0), while
+    # (u0, e1) waits for level 1; the error names (u0, e1) at step 1, where
+    # running the permutation one step at a time stops, not the failure
+    # that ran first
     model = manual_model([[0.0], [0.0]], [[0.0], [1e300], [1e300]])
     matrix = from_triplets([(0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0)], 2, 3)
-    config = TrainConfig(learning_rate=1e10, epochs=1, seed=13)
-    assert list(epoch_waves(matrix, config)) == [[[0], [2, 1]]]
+    config = TrainConfig(learning_rate=1e10, epochs=1, seed=2)
+    assert list(epoch_orders(matrix, config)) == [[0, 1, 2]]
+    assert list(epoch_waves(matrix, config)) == [[[0, 2], [1]]]
     with pytest.raises(NonFiniteUpdateError) as exc:
         train(model, matrix, config)
     assert (exc.value.epoch, exc.value.step, str(exc.value)) == (
-        1, 1, "non-finite factor update for user 1, event 2 (epoch 1, step 1)"
+        1, 1, "non-finite factor update for user 0, event 1 (epoch 1, step 1)"
     )
 
 
@@ -614,7 +611,7 @@ def wide_case():
 
 # sha256 of save_model's bytes for the wide case, trained by reference_step
 # one observation after another in the order of epoch_orders
-WIDE_CASE_SHA256 = "b735ab65d7063a2d7e8f7ede3a66c56cb81e65934419c4c1d8b7dd400e322762"
+WIDE_CASE_SHA256 = "2e341791b3264dc02a21637023f977548be700c4dbc918b7f77ad0241674ee90"
 
 
 def test_wide_waves_match_oracle_and_golden_bytes(tmp_path):
